@@ -10,6 +10,10 @@
 //   bench_runner [--quick] [--scenario NAME] [--threads N] [--repeat N]
 //                [--tier-profile full|slim] [--out FILE] [--trace-out FILE]
 //
+// --out FILE writes the JSON report; without it the runner prints its
+// results and writes no file (so a run from the repository root never
+// overwrites a committed BENCH_*.json).
+//
 // --tier-profile selects the topo::TierProfile used by the fabric
 // scenarios (leaf_spine, parallel_fabric): "slim" (default) builds
 // switches with shared templates + first-touch state, "full" forces the
@@ -79,7 +83,7 @@ struct Options {
   std::string scenario;  // empty = all
   unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   unsigned repeat = 3;
-  std::string out = "BENCH_kernel.json";
+  std::string out;  // empty (no --out): print the results, write no file
   std::string trace_out;  // empty = no trace capture
 };
 
@@ -578,7 +582,7 @@ int run_datapath_bench(bool quick, unsigned repeat, const std::string& out) {
       all_ok = all_ok && ok;
     }
   }
-  const bool wrote = adcp::bench::write_report(report, "datapath", out);
+  const bool wrote = out.empty() || adcp::bench::write_report(report, "datapath", out);
   if (!all_ok) std::fprintf(stderr, "datapath_fastpath reported a failed cell\n");
   return all_ok && wrote ? 0 : 1;
 }
@@ -675,7 +679,7 @@ int run_thread_sweep(const std::vector<unsigned>& thread_counts, bool quick,
     ts.gauge("ok").set(ok ? 1.0 : 0.0);
     all_ok = all_ok && ok;
   }
-  const bool wrote = adcp::bench::write_report(report, "parallel", out);
+  const bool wrote = out.empty() || adcp::bench::write_report(report, "parallel", out);
   if (!all_ok) std::fprintf(stderr, "parallel_fabric reported a failed run\n");
   return all_ok && wrote ? 0 : 1;
 }
@@ -724,7 +728,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   Options opt;
   std::string threads_arg;
-  bool out_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
@@ -747,7 +750,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       opt.out = v;
-      out_set = true;
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -788,16 +790,14 @@ int main(int argc, char** argv) {
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
-    return run_thread_sweep(counts, opt.quick, opt.repeat,
-                            out_set ? opt.out : "BENCH_parallel.json");
+    return run_thread_sweep(counts, opt.quick, opt.repeat, opt.out);
   }
 
   // The datapath fast-path sweep runs its own paired on/off arms and
-  // equality gates; it writes BENCH_datapath.json rather than joining the
-  // scenario x seed fan-out.
+  // equality gates; its report (BENCH_datapath.json) is its own rather
+  // than joining the scenario x seed fan-out.
   if (opt.scenario == "datapath_fastpath") {
-    return run_datapath_bench(opt.quick, opt.repeat,
-                              out_set ? opt.out : "BENCH_datapath.json");
+    return run_datapath_bench(opt.quick, opt.repeat, opt.out);
   }
 
   // Build the work list: scenario × repeat, each with its own seed.
@@ -882,7 +882,7 @@ int main(int argc, char** argv) {
     sc.gauge("runs").set(static_cast<double>(r.runs));
     sc.gauge("total_ops").set(static_cast<double>(r.total_ops));
   }
-  const bool wrote = adcp::bench::write_report(report, "kernel", opt.out);
+  const bool wrote = opt.out.empty() || adcp::bench::write_report(report, "kernel", opt.out);
   const bool traced = opt.trace_out.empty() || write_trace_capture(opt.trace_out, opt.quick);
   for (const std::string& name : failed) {
     std::fprintf(stderr, "scenario '%s' reported a failed run\n", name.c_str());

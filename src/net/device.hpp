@@ -15,8 +15,9 @@ namespace adcp::net {
 /// Called when the last bit of `pkt` leaves TX `port`.
 using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 
-/// A switch as seen from its ports. Implemented by rmt::RmtSwitch,
-/// core::AdcpSwitch and rtc::RtcSwitch.
+/// A switch as seen from its ports. Implemented once, by hop::SwitchShell
+/// (RX serialization, TX, drops, telemetry tap), which rmt::RmtSwitch,
+/// core::AdcpSwitch and rtc::RtcSwitch derive from.
 ///
 /// Canonical construction contract (all three models):
 ///
@@ -29,8 +30,6 @@ using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 ///    (sub-components hang off it: "<scope>.tm", "<scope>.pool", ...). A
 ///    detached scope (the default) falls back to a private registry whose
 ///    prefix is the model's own lowercase name: "rmt" / "adcp" / "rtc".
-///    (AdcpSwitch used "core" before the tier-profile redesign; see
-///    core::AdcpSwitch::kDeprecatedScopeFallback.)
 ///  * Construction is cheap: heavy state (stage register files, array
 ///    engines) is reserved, not materialized — it appears on first touch
 ///    (mat::RegisterFile), so building a fabric of thousands of switches

@@ -90,7 +90,11 @@ void Host::finish_rx(packet::Packet pkt) {
     } else {
       highest = inc.seq;
     }
-    if (tracker_ != nullptr) {
+    // Telemetry reports and postcards carry the observed flow's ids but are
+    // not deliveries of that flow.
+    const bool telemetry = inc.opcode == packet::IncOpcode::kTelemReport ||
+                           inc.opcode == packet::IncOpcode::kTelemPostcard;
+    if (tracker_ != nullptr && !telemetry) {
       tracker_->deliver(inc.coflow_id, inc.flow_id, pkt.size(), sim_->now());
     }
   } else if (tracker_ != nullptr && pkt.meta.coflow_id != 0) {

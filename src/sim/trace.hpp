@@ -1,25 +1,9 @@
-// Event tracing to CSV.
-//
-// Any component can log structured rows (time + component + event + detail)
-// to a TraceLog; benches and tests attach one when they want a replayable
-// record (e.g. for external plotting). Disabled-by-default and zero-cost
-// when no sink is attached.
-//
-// Components write through a Tracer handle obtained from
-// TraceLog::tracer("core0.tm1") (or MetricRegistry::tracer), which stamps
-// every row with the component name in its own column instead of callers
-// mangling prefixes into the event string. Component names are interned
-// once per tracer, so recording stays two string moves per row.
+// CSV field escaping shared by the metrics and span CSV exporters. (Packet
+// and hop tracing is sim/span.hpp.)
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "sim/time.hpp"
 
 namespace adcp::sim {
 
@@ -38,156 +22,6 @@ inline std::string csv_escape(std::string_view field) {
   }
   out.push_back('"');
   return out;
-}
-
-class TraceLog;
-
-/// Lightweight recording handle bound to one component name. Copyable;
-/// a default-constructed Tracer is detached and drops rows.
-class Tracer {
- public:
-  Tracer() = default;
-
-  void record(Time at, std::string event, std::string detail = {}) const;
-  [[nodiscard]] bool attached() const { return log_ != nullptr; }
-
- private:
-  friend class TraceLog;
-  Tracer(TraceLog* log, std::uint32_t component) : log_(log), component_(component) {}
-
-  TraceLog* log_ = nullptr;
-  std::uint32_t component_ = 0;
-};
-
-/// An append-only CSV trace: fixed columns (time_ps, component, event,
-/// detail). The component column is an interned string table index so rows
-/// stay small and comparisons stay cheap.
-///
-/// Unbounded by default (tests want every row); set_capacity(N) turns the
-/// storage into an N-row ring that overwrites the oldest rows and counts
-/// them in dropped_rows(), so long fabric runs keep a bounded flight
-/// record instead of growing without limit.
-class TraceLog {
- public:
-  /// In-memory trace.
-  TraceLog() {
-    components_.emplace_back();  // index 0: the anonymous component ""
-  }
-
-  /// Compatibility shim for pre-scoped call sites: records under the
-  /// anonymous component.
-  void record(Time at, std::string event, std::string detail = {}) {
-    push(Row{at, 0, std::move(event), std::move(detail)});
-  }
-
-  /// Returns a recording handle stamped with `component`; interns the name.
-  [[nodiscard]] Tracer tracer(std::string_view component) {
-    return Tracer{this, intern(component)};
-  }
-
-  [[nodiscard]] std::size_t size() const { return rows_.size(); }
-
-  /// Bounds the log to a ring of `capacity` rows (0 restores the unbounded
-  /// default). A full ring overwrites its oldest row on every record and
-  /// counts it in dropped_rows(). Shrinking below the current size keeps
-  /// the newest rows.
-  void set_capacity(std::size_t capacity) {
-    if (capacity != 0 && rows_.size() > capacity) {
-      std::vector<Row> kept;
-      kept.reserve(capacity);
-      for (std::size_t i = rows_.size() - capacity; i < rows_.size(); ++i) {
-        kept.push_back(std::move(row(i)));
-      }
-      dropped_rows_ += rows_.size() - capacity;
-      rows_ = std::move(kept);
-    }
-    capacity_ = capacity;
-    next_ = 0;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Rows overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped_rows() const { return dropped_rows_; }
-
-  struct Row {
-    Time at;
-    std::uint32_t component;  // index into component_names()
-    std::string event;
-    std::string detail;
-  };
-  /// Physical storage order; only chronological while the log has never
-  /// wrapped. Use row(i) for guaranteed oldest-first order.
-  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
-  /// Logical indexing, oldest surviving row first (ring-aware).
-  [[nodiscard]] Row& row(std::size_t i) {
-    return rows_[(next_ + i) % rows_.size()];
-  }
-  [[nodiscard]] const Row& row(std::size_t i) const {
-    return rows_[(next_ + i) % rows_.size()];
-  }
-  [[nodiscard]] const std::vector<std::string>& component_names() const { return components_; }
-  [[nodiscard]] const std::string& component_of(const Row& r) const {
-    return components_[r.component];
-  }
-
-  /// Serializes to CSV ("time_ps,component,event,detail\n" header
-  /// included), RFC-4180 quoting on every text field, oldest row first.
-  [[nodiscard]] std::string to_csv() const {
-    std::ostringstream out;
-    out << "time_ps,component,event,detail\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = row(i);
-      out << r.at << ',' << csv_escape(components_[r.component]) << ','
-          << csv_escape(r.event) << ',' << csv_escape(r.detail) << '\n';
-    }
-    return out.str();
-  }
-
-  /// Writes the CSV to `path`; returns false on I/O failure.
-  bool write_csv(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) return false;
-    f << to_csv();
-    return static_cast<bool>(f);
-  }
-
-  void clear() {
-    rows_.clear();
-    next_ = 0;
-    dropped_rows_ = 0;
-  }
-
- private:
-  friend class Tracer;
-
-  void push(Row row) {
-    if (capacity_ != 0 && rows_.size() == capacity_) {
-      rows_[next_] = std::move(row);
-      next_ = (next_ + 1) % capacity_;
-      ++dropped_rows_;
-      return;
-    }
-    rows_.push_back(std::move(row));
-  }
-
-  std::uint32_t intern(std::string_view name) {
-    for (std::uint32_t i = 0; i < components_.size(); ++i) {
-      if (components_[i] == name) return i;
-    }
-    components_.emplace_back(name);
-    return static_cast<std::uint32_t>(components_.size() - 1);
-  }
-
-  std::vector<Row> rows_;
-  std::vector<std::string> components_;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::size_t next_ = 0;      // oldest row when the ring has wrapped
-  std::uint64_t dropped_rows_ = 0;
-};
-
-inline void Tracer::record(Time at, std::string event, std::string detail) const {
-  if (log_ == nullptr) return;
-  log_->push(TraceLog::Row{at, component_, std::move(event), std::move(detail)});
 }
 
 }  // namespace adcp::sim

@@ -1,6 +1,9 @@
 // Tests for the packet pretty-printer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "packet/describe.hpp"
 #include "packet/headers.hpp"
 
@@ -49,6 +52,25 @@ TEST(Describe, OpcodeNamesCoverAll) {
     EXPECT_NE(opcode_name(op), "op" + std::to_string(op)) << int(op);
   }
   EXPECT_EQ(opcode_name(200), "op200");
+}
+
+TEST(Describe, ControlAndTelemetryOpcodesHaveNames) {
+  const std::pair<IncOpcode, const char*> rows[] = {
+      {IncOpcode::kCtrlUpdate, "CtrlUpdate"},
+      {IncOpcode::kChurnQuery, "ChurnQuery"},
+      {IncOpcode::kChurnHit, "ChurnHit"},
+      {IncOpcode::kChurnMiss, "ChurnMiss"},
+      {IncOpcode::kTelemReport, "TelemReport"},
+      {IncOpcode::kTelemPostcard, "TelemPostcard"},
+  };
+  for (const auto& [op, name] : rows) {
+    EXPECT_EQ(opcode_name(static_cast<std::uint8_t>(op)), name);
+    IncPacketSpec spec;
+    spec.inc.opcode = op;
+    EXPECT_NE(describe(make_inc_packet(spec)).find(std::string(" INC ") + name + " "),
+              std::string::npos)
+        << name;
+  }
 }
 
 }  // namespace

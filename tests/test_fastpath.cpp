@@ -5,14 +5,12 @@
 // rewrites, and the end-to-end pins: with the cache armed on a fabric the
 // registry snapshot and span trace must be byte-identical to the cache-off
 // run for every switch model, and the steady-state hit path must not
-// allocate (this translation unit builds into its own binary, so the
-// counting operator-new hooks see every allocation in the process).
+// allocate (this binary links the counting operator new of
+// support/counting_new.cpp, which sees every allocation in the process).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <tuple>
 
@@ -27,38 +25,7 @@
 #include "topo/routing.hpp"
 #include "workload/rack_coflow.hpp"
 
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace adcp {
 namespace {

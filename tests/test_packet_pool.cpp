@@ -4,14 +4,11 @@
 // (pool -> make_inc_packet_into -> parse_into -> pipeline -> traffic
 // manager -> deparse_into) performs no heap allocation once warm. That is
 // enforced here with counting replacements of the global allocation
-// functions: this translation unit builds into its own test binary (one
-// binary per tests/test_*.cpp), so the hooks observe every operator new in
-// the process without affecting the other suites.
+// functions (support/counting_new.cpp, linked only into the suites that
+// need it), which observe every operator new in the process.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 
 #include "packet/deparser.hpp"
@@ -22,38 +19,7 @@
 #include "sim/metrics.hpp"
 #include "tm/traffic_manager.hpp"
 
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace adcp::packet {
 namespace {

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "coflow/tracker.hpp"
 #include "packet/headers.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -470,6 +471,57 @@ TEST(TelemetryFabric, ArmedRunsMatchAcrossWorkerCounts) {
     EXPECT_EQ(r.now, reference.now) << workers << " workers";
     EXPECT_EQ(r.snapshot_json, reference.snapshot_json) << workers << " workers";
   }
+}
+
+/// In-band reports name the flow they observed, and the collector host
+/// receives them; they must not count as deliveries of that flow, or a
+/// report can complete the coflow before its data has arrived.
+TEST(TelemetryFabric, ReportsAreNotCoflowDeliveries) {
+  topo::TierProfile prof = fabric_profile(true, false);
+  prof.telemetry.report_sample_every = 1;  // every flow is reported on
+  sim::Simulator sim;
+  topo::Network net(sim, fabric_params(topo::SwitchKind::kAdcp, prof));
+  // A paced incast into host 0: data keeps arriving at the sink long after
+  // the reports on its first packets have reached the collector.
+  constexpr std::uint32_t kPackets = 20;
+  coflow::CoflowDescriptor incast;
+  incast.id = 1;
+  for (std::size_t h = 1; h + 1 < net.host_count(); ++h) {
+    incast.flows.push_back({h, static_cast<coflow::HostId>(h), 0, 0, kPackets});
+  }
+  coflow::CoflowTracker tracker;
+  net.set_tracker(&tracker);
+  tracker.start(incast, 0);
+  sim::Time last_data = 0;
+  net.host(0).add_rx_callback([&](net::Host&, const packet::Packet& pkt) {
+    packet::IncHeader inc;
+    if (packet::decode_inc(pkt, inc) && inc.opcode == packet::IncOpcode::kPlain) {
+      last_data = sim.now();
+    }
+  });
+  for (const coflow::FlowSpec& f : incast.flows) {
+    packet::IncPacketSpec spec;
+    spec.ip_src = net.ip_of(f.src);
+    spec.ip_dst = net.ip_of(0);
+    spec.udp_src = static_cast<std::uint16_t>(40'000 + f.id);
+    spec.inc.opcode = packet::IncOpcode::kPlain;
+    spec.inc.flow_id = f.id;
+    spec.inc.coflow_id = 1;
+    spec.inc.elements.push_back({1, 2});
+    for (std::uint32_t s = 0; s < kPackets; ++s) {
+      spec.inc.seq = s;
+      net.host(f.src).send_inc(spec, s * sim::kMicrosecond);
+    }
+  }
+  sim.run();
+
+  ASSERT_NE(net.collector(), nullptr);
+  EXPECT_EQ(net.collector()->reports(), incast.total_packets());
+  const coflow::CoflowRecord* rec = tracker.record(1);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_TRUE(rec->complete());
+  EXPECT_EQ(rec->delivered_packets, incast.total_packets());
+  EXPECT_EQ(*rec->finish, last_data);
 }
 
 TEST(TelemetryFabric, RmtSketchClaimsViaRecirculation) {

@@ -2,16 +2,14 @@
 // determinism, per-flow ordering, packet conservation across hops, a
 // determinism pin (event count + final time + metric snapshot hash)
 // mirroring test_event_count_determinism.cpp, and the zero-allocation
-// warm-path guard with trunks in the forwarding chain (this translation
-// unit builds into its own binary, so the counting operator-new hooks see
-// every allocation in the process).
+// warm-path guard with trunks in the forwarding chain on every switch
+// model (this binary links the counting operator new of
+// support/counting_new.cpp, which sees every allocation in the process).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <tuple>
@@ -26,38 +24,7 @@
 #include "topo/routing.hpp"
 #include "workload/rack_coflow.hpp"
 
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace adcp {
 namespace {
@@ -421,17 +388,20 @@ TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
 
 // --- zero-allocation warm path -------------------------------------------
 
-/// Steady-state cross-rack forwarding through two trunks must not allocate:
-/// pools feed the hosts, trunk hops reuse the pooled buffers, and the hops
+class TopoZeroAlloc : public ::testing::TestWithParam<topo::SwitchKind> {};
+
+/// Steady-state cross-rack forwarding through two trunks must not allocate
+/// on any switch model: pools feed the hosts, trunk hops reuse the pooled
+/// buffers, every hop parks its transit state in pooled slots, and the hops
 /// histogram is pre-reserved. Mirrors test_packet_pool's guard, with the
 /// multi-switch chain host -> leaf -> trunk -> spine -> trunk -> leaf -> host.
-TEST(TopoZeroAlloc, SteadyStateTrunkForwardingDoesNotAllocate) {
+TEST_P(TopoZeroAlloc, SteadyStateTrunkForwardingDoesNotAllocate) {
   sim::Simulator sim;
   topo::LeafSpineParams p;
   p.leaves = 2;
   p.spines = 2;
   p.hosts_per_leaf = 2;
-  p.kind = topo::SwitchKind::kRmt;
+  p.kind = GetParam();
   topo::Network net(sim, p);
   auto hosts = rack_hosts(net);
 
@@ -460,6 +430,13 @@ TEST(TopoZeroAlloc, SteadyStateTrunkForwardingDoesNotAllocate) {
 
   for (int warm = 0; warm < 4; ++warm) burst();
   net.hops().reserve(net.hops().count() + 256);
+  if (GetParam() == topo::SwitchKind::kRtc) {
+    // RTC also samples every packet's residence; reserve it like hops.
+    for (std::size_t i = 0; i < net.switch_count(); ++i) {
+      sim::Histogram& residence = net.switch_scope(i).histogram("latency.residence_ps");
+      residence.reserve(residence.count() + 256);
+    }
+  }
 
   const std::uint64_t before = g_allocations;
   for (int measured = 0; measured < 4; ++measured) burst();
@@ -469,6 +446,18 @@ TEST(TopoZeroAlloc, SteadyStateTrunkForwardingDoesNotAllocate) {
   EXPECT_EQ(net.total_host_rx_packets(), net.total_host_tx_packets());
   EXPECT_EQ(total_reordered(net), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, TopoZeroAlloc,
+                         ::testing::Values(topo::SwitchKind::kRmt,
+                                           topo::SwitchKind::kAdcp,
+                                           topo::SwitchKind::kRtc),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case topo::SwitchKind::kRmt: return "Rmt";
+                             case topo::SwitchKind::kAdcp: return "Adcp";
+                             default: return "Rtc";
+                           }
+                         });
 
 /// The same steady-state guard with span tracing armed in flight-recorder
 /// mode: every flow sampled into a small ring that wraps during the
