@@ -12,11 +12,14 @@
 #include "mat/array_engine.hpp"
 #include "mat/register.hpp"
 #include "mat/table.hpp"
+#include "net/device.hpp"
+#include "net/host.hpp"
 #include "packet/deparser.hpp"
 #include "packet/headers.hpp"
 #include "packet/parser.hpp"
 #include "packet/pool.hpp"
 #include "pipeline/pipeline.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tm/traffic_manager.hpp"
 
@@ -223,6 +226,62 @@ void BM_TmEnqueueDequeuePooled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TmEnqueueDequeuePooled);
+
+// The kernel at depth, in the shape of the inc_agg_adcp fabric workload:
+// 16 hosts each queue 6,400 INC sends up front (100 iterations x 64 chunks,
+// staggered by a seeded skew), so ~100k events are pending when the run
+// starts. A stub switch echoes every packet straight back to its sender,
+// leaving two kernel events per packet (NIC arrival, downlink delivery) and
+// little else. The two cases above schedule 1,000 sorted events into a
+// shallow queue; this one measures what a deep one costs per event.
+class EchoSwitch final : public net::SwitchDevice {
+ public:
+  void inject(packet::PortId port, packet::Packet pkt) override {
+    (*hosts)[port].deliver_from_switch(std::move(pkt));
+  }
+  void set_tx_handler(net::TxHandler /*handler*/) override {}
+  [[nodiscard]] std::uint32_t port_count() const override { return 16; }
+  [[nodiscard]] double port_gbps() const override { return 100.0; }
+
+  std::vector<net::Host>* hosts = nullptr;
+};
+
+void BM_SimulatorHostEcho(benchmark::State& state) {
+  constexpr std::uint32_t kHosts = 16;
+  constexpr std::uint32_t kIterations = 100;
+  constexpr std::uint32_t kChunks = 64;
+  sim::Simulator sim;
+  EchoSwitch sw;
+  packet::Pool pool(kHosts * kIterations * kChunks);
+  std::vector<net::Host> hosts;
+  hosts.reserve(kHosts);
+  for (std::uint32_t h = 0; h < kHosts; ++h) {
+    hosts.emplace_back(h, h, net::Link{}, sim, sw, nullptr, &pool);
+  }
+  sw.hosts = &hosts;
+  sim::Rng rng(3);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const sim::Time base = sim.now();
+    for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
+      for (std::uint32_t h = 0; h < kHosts; ++h) {
+        const sim::Time start = base + iter * 4 * sim::kMicrosecond + rng.uniform(0, 800'000);
+        for (std::uint32_t c = 0; c < kChunks; ++c) {
+          packet::IncPacketSpec spec;
+          spec.inc.opcode = packet::IncOpcode::kAggUpdate;
+          spec.inc.flow_id = (iter + 1ull) * 1000 + h;
+          spec.inc.seq = iter * kChunks + c;
+          spec.inc.worker_id = h;
+          for (std::uint32_t e = 0; e < 8; ++e) spec.inc.elements.push_back({c * 8 + e, 1});
+          hosts[h].send_inc(spec, start);
+        }
+      }
+    }
+    events += sim.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SimulatorHostEcho)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every run mirrored into a MetricRegistry
 /// ("<name>.ns_per_op" / "<name>.items_per_sec") so the micro numbers ship

@@ -33,6 +33,8 @@ SwitchShell::SwitchShell(sim::Simulator& sim, const sim::Scope& scope,
       fastpath_miss_spans_(fastpath_miss_spans) {
   rx_free_.assign(port_count, 0);
   tx_free_.assign(port_count, 0);
+  rx_lanes_.resize(port_count);
+  tx_lanes_.resize(port_count);
   in_flight_.assign(port_count, 0);
 }
 
@@ -69,7 +71,8 @@ void SwitchShell::inject(packet::PortId port, packet::Packet pkt) {
   const sim::Time start = std::max(sim_->now(), free);
   free = start + sim::serialization_time(pkt.size(), port_gbps_);
   spans_.span(sim::SpanKind::kRx, pkt.meta.trace_id, start, free, port, pkt.size());
-  sim_->at(free, [this, pkt = std::move(pkt)]() mutable { on_rx(std::move(pkt)); });
+  sim_->at(rx_lanes_[port], free,
+           [this, pkt = std::move(pkt)]() mutable { on_rx(std::move(pkt)); });
 }
 
 Slot* SwitchShell::acquire() {
@@ -173,7 +176,7 @@ void SwitchShell::transmit(packet::PortId port, packet::Packet out) {
   spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, port, out.size());
   // The port rides in the packet metadata: {this, Packet} fills the inline
   // callback capacity exactly, so one more captured word would heap-spill.
-  sim_->at(free, [this, out = std::move(out)]() mutable {
+  sim_->at(tx_lanes_[port], free, [this, out = std::move(out)]() mutable {
     const packet::PortId port = out.meta.egress_port;
     hop_.tx_packets.add();
     hop_.tx_bytes.add(out.size());

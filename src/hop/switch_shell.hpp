@@ -249,6 +249,8 @@ class SwitchShell : public net::SwitchDevice {
   packet::PortId unicast_ = packet::kInvalidPort;  ///< destinations() storage
   std::vector<sim::Time> rx_free_;        // per port
   std::vector<sim::Time> tx_free_;        // per port
+  std::vector<sim::Lane> rx_lanes_;       // per port: RX completions, in order
+  std::vector<sim::Lane> tx_lanes_;       // per port: TX completions, in order
   std::vector<std::uint32_t> in_flight_;  // per port: egress pipe exit -> TX done
 };
 

@@ -28,7 +28,7 @@ sim::Time Host::send(packet::Packet pkt, sim::Time earliest) {
     uplink_(arrival, std::move(pkt));
     return arrival;
   }
-  sim_->at(arrival, [this, pkt = std::move(pkt)]() mutable {
+  sim_->at(nic_lane_, arrival, [this, pkt = std::move(pkt)]() mutable {
     device_->inject(port_, std::move(pkt));
   });
   return arrival;
@@ -64,7 +64,7 @@ void Host::deliver_from_switch(packet::Packet pkt) {
   // Span begin rides in the packet (the [this, pkt] capture below fills the
   // inline callback budget exactly; one more captured word would spill).
   pkt.meta.trace_mark = sim_->now();
-  sim_->after(link_.propagation, [this, pkt = std::move(pkt)]() mutable {
+  sim_->after(downlink_lane_, link_.propagation, [this, pkt = std::move(pkt)]() mutable {
     finish_rx(std::move(pkt));
   });
 }

@@ -155,6 +155,8 @@ class Host {
   DownlinkFn downlink_;  // sharded fabrics: switch shard -> host shard
 
   sim::Time nic_free_ = 0;
+  sim::Lane nic_lane_;       // host -> switch: first bits arrive in send order
+  sim::Lane downlink_lane_;  // switch -> host: deliveries land in TX order
   // Declared before scope_/metrics_ (fallback registry must exist first).
   std::unique_ptr<sim::MetricRegistry> own_metrics_;
   sim::Scope scope_;

@@ -2,9 +2,10 @@
 //
 // The kernel is deliberately small: a time-ordered queue of callbacks and a
 // run loop. Everything else in the repository (pipelines, traffic managers,
-// links, hosts) is built as callbacks that reschedule themselves. Events at
-// equal timestamps fire in scheduling order (FIFO), which keeps runs fully
-// deterministic.
+// links, hosts) is built as callbacks that reschedule themselves. Events
+// fire in (time, sequence) order, the sequence number being handed out when
+// the event is scheduled: equal timestamps fire in scheduling order (FIFO),
+// which keeps runs fully deterministic.
 //
 // Internals are built for throughput, since every experiment in the repo is
 // bounded by this loop:
@@ -14,6 +15,11 @@
 //  - Ordering is a 4-ary min-heap over (time, seq) holding 24-byte entries
 //    that reference slab slots — sift operations move small PODs, never
 //    callables.
+//  - FIFO lanes keep the heap shallow: a NIC, a port or a link delivers in
+//    order, so its events queue in a caller-owned Lane and only the lane's
+//    head sits in the heap. Events scheduled for now() ride the kernel's own
+//    lane. Every record keeps the sequence number it was scheduled with, so
+//    the firing order is the plain heap's by construction.
 //  - Callbacks are InlineFunction (see inline_function.hpp): captures up to
 //    the inline budget are stored in the slot itself.
 //  - Cancellation is a generation check: an EventHandle names (slot, gen);
@@ -24,6 +30,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hpp"
@@ -32,6 +39,68 @@
 namespace adcp::sim {
 
 class Simulator;
+
+namespace detail {
+/// One pending event in kernel order: (at, seq) sorts it, (slot, gen) names
+/// the slab slot and the generation it was scheduled under.
+struct EventRecord {
+  Time at;
+  std::uint64_t seq;
+  std::uint32_t slot;
+  std::uint32_t gen;
+};
+}  // namespace detail
+
+/// A caller-owned FIFO of events whose times never decrease — a NIC, a port,
+/// one direction of a link. Simulator::at(lane, t, fn) appends to it; only
+/// the head sits in the simulator's heap, so a lane with thousands of
+/// packets in flight costs the heap one entry. The firing order is exactly
+/// that of plain at() calls, whether an event waits in the lane or in the
+/// heap. An append earlier than the lane's tail becomes a plain heap event,
+/// and so does one that would wait alone (the lane is empty and none of its
+/// events is due after now), so a link that never queues costs what plain
+/// events cost. A lane must not move or die while it holds events (their
+/// callbacks capture its owner anyway); an empty lane is free to.
+class Lane {
+ public:
+  Lane() = default;
+  Lane(Lane&& other) noexcept { *this = std::move(other); }
+  Lane& operator=(Lane&& other) noexcept {
+    ring_ = std::move(other.ring_);
+    cap_ = std::exchange(other.cap_, 0);
+    head_ = std::exchange(other.head_, 0);
+    size_ = std::exchange(other.size_, 0);
+    id_ = other.id_;
+    latest_ = other.latest_;
+    return *this;
+  }
+
+ private:
+  friend class Simulator;
+  using Record = detail::EventRecord;
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  Record& front() { return ring_[head_]; }
+  [[nodiscard]] const Record& back() const { return ring_[(head_ + size_ - 1) & (cap_ - 1)]; }
+  void push_back(const Record& r) {
+    if (size_ == cap_) grow();
+    ring_[(head_ + size_) & (cap_ - 1)] = r;
+    ++size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & (cap_ - 1);
+    --size_;
+  }
+  void grow();  ///< doubles the ring, unwrapping it to start at index 0
+
+  std::unique_ptr<Record[]> ring_;  ///< power-of-two ring buffer
+  std::uint32_t cap_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t id_ = 0;  ///< index in the simulator's lane table while non-empty
+  Time latest_ = 0;       ///< latest time appended, wherever the event went
+};
 
 /// Cancellation handle for a scheduled event or periodic task. Destroying
 /// the handle does NOT cancel the event; call `cancel()` explicitly.
@@ -91,20 +160,35 @@ class Simulator {
   /// intermediate Callback temporary, no buffer copy.
   template <typename F>
   EventHandle at(Time at, F&& fn) {
-    assert(at >= now_ && "cannot schedule in the past");
-    const std::uint32_t i = alloc_slot();
-    Slot& s = slot(i);
-    s.fn = std::forward<F>(fn);
-    s.period = 0;
-    heap_push({at, next_seq_++, i, s.gen});
-    ++live_;
-    return EventHandle{this, i, s.gen};
+    const std::uint32_t i = fill_slot(at, 0, std::forward<F>(fn));
+    schedule(at, i);
+    return EventHandle{this, i, slot(i).gen};
   }
 
   /// Schedules `fn` after `delay` picoseconds.
   template <typename F>
   EventHandle after(Time delay, F&& fn) {
     return at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Schedules `fn` at `at` in `lane` (see Lane). Fires exactly where a
+  /// plain at() issued now would; no handle, since a lane event cannot be
+  /// cancelled.
+  template <typename F>
+  void at(Lane& lane, Time at, F&& fn) {
+    const std::uint32_t i = fill_slot(at, 0, std::forward<F>(fn));
+    if (lane.empty() ? lane.latest_ > now_ : at >= lane.back().at) {
+      lane_push(lane, {at, next_seq_++, i, slot(i).gen});
+    } else {
+      schedule(at, i);  // alone or out of order: a plain event
+    }
+    if (at > lane.latest_) lane.latest_ = at;
+  }
+
+  /// Schedules `fn` in `lane` after `delay` picoseconds.
+  template <typename F>
+  void after(Lane& lane, Time delay, F&& fn) {
+    at(lane, now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules `fn` every `period` picoseconds, first firing at
@@ -128,13 +212,9 @@ class Simulator {
   template <typename F>
   EventHandle every(Time period, Time phase, F&& fn) {
     assert(period > 0 && "periodic task needs a positive period");
-    const std::uint32_t i = alloc_slot();
-    Slot& s = slot(i);
-    s.fn = std::forward<F>(fn);
-    s.period = period;
-    heap_push({now_ + phase, next_seq_++, i, s.gen});
-    ++live_;
-    return EventHandle{this, i, s.gen};
+    const std::uint32_t i = fill_slot(now_ + phase, period, std::forward<F>(fn));
+    schedule(now_ + phase, i);
+    return EventHandle{this, i, slot(i).gen};
   }
 
   /// Runs until the event queue drains or `stop()` is called.
@@ -169,9 +249,9 @@ class Simulator {
   /// Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
 
-  /// Number of live events waiting: scheduled one-shots plus active
-  /// periodic tasks. Cancelled events are reclaimed eagerly and never
-  /// counted here.
+  /// Number of live events waiting: scheduled one-shots (lane events
+  /// included) plus active periodic tasks. Cancelled events are reclaimed
+  /// eagerly and never counted here.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
@@ -184,19 +264,27 @@ class Simulator {
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  /// Slot::link of a live event whose record waits in a lane (only the
+  /// same-time lane's events can be cancelled, so only it leaves stale
+  /// records — skipped when they reach the front, never counted in stale_).
+  static constexpr std::uint32_t kQueuedInLane = kNoSlot - 1;
+  /// Heap entries with this bit set stand for a lane's head: the low bits
+  /// index lanes_, and (at, seq) are the head record's.
+  static constexpr std::uint32_t kLaneBit = 1u << 31;
+
   struct Slot {
     Callback fn;
     Time period = 0;  ///< 0 = one-shot, >0 = periodic
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNoSlot;
+    /// Free: the next free slot. Live with a handle: kQueuedInLane while
+    /// its record waits in the same-time lane, kNoSlot while it sits in the
+    /// heap. (Caller-lane events have no handle and leave it unset.)
+    std::uint32_t link = kNoSlot;
   };
 
-  struct HeapEntry {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
+  using HeapEntry = detail::EventRecord;
+  static_assert(sizeof(Slot) == 144, "a slot is the callback plus 16 bytes");
+  static_assert(sizeof(HeapEntry) == 24, "heap entries stay 24 bytes");
 
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
@@ -210,7 +298,7 @@ class Simulator {
   std::uint32_t alloc_slot() {
     if (free_head_ != kNoSlot) {
       const std::uint32_t i = free_head_;
-      free_head_ = slot(i).next_free;
+      free_head_ = slot(i).link;
       return i;
     }
     if (used_slots_ < chunks_.size() * kChunkSize) return used_slots_++;
@@ -218,6 +306,38 @@ class Simulator {
   }
   std::uint32_t alloc_slot_grow();  ///< appends a chunk, returns a fresh slot
   void free_slot(std::uint32_t i);
+
+  /// Allocates a slot holding `fn` and counts it live.
+  template <typename F>
+  std::uint32_t fill_slot([[maybe_unused]] Time at, Time period, F&& fn) {
+    assert(at >= now_ && "cannot schedule in the past");
+    const std::uint32_t i = alloc_slot();
+    Slot& s = slot(i);
+    s.fn = std::forward<F>(fn);
+    s.period = period;
+    ++live_;
+    return i;
+  }
+  /// Queues slot `i` at `at` with a fresh sequence number: in the same-time
+  /// lane when `at` is now(), in the heap otherwise.
+  void schedule(Time at, std::uint32_t i) {
+    Slot& s = slot(i);
+    if (at == now_) {
+      s.link = kQueuedInLane;
+      lane_push(same_time_, {at, next_seq_++, i, s.gen});
+    } else {
+      s.link = kNoSlot;
+      heap_push({at, next_seq_++, i, s.gen});
+    }
+  }
+  /// Appends a record to `lane`, entering the lane in the heap if it was
+  /// empty.
+  void lane_push(Lane& lane, const HeapEntry& r);
+  /// Drops the head of the lane whose entry is the heap front, and moves
+  /// that entry to the lane's next head (or pops it when the lane drained).
+  void lane_pop_front(Lane& lane);
+  /// Discards stale records at the front; true when a live event is next.
+  bool settle_front();
 
   // EventHandle backends.
   void cancel_event(std::uint32_t slot, std::uint32_t gen);
@@ -234,6 +354,9 @@ class Simulator {
   bool stopped_ = false;
 
   std::vector<HeapEntry> heap_;
+  std::vector<Lane*> lanes_;              ///< non-empty lanes, by Lane::id_
+  std::vector<std::uint32_t> free_lane_ids_;
+  Lane same_time_;                        ///< events scheduled for now()
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t used_slots_ = 0;     ///< high-water mark of allocated slot ids
   std::uint32_t free_head_ = kNoSlot;

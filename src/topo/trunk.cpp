@@ -20,7 +20,7 @@ void Trunk::forward(int side, packet::Packet pkt) {
               sim_->now() + link_.propagation, static_cast<std::uint64_t>(side),
               pkt.size());
   End* to = side == 0 ? &b_ : &a_;
-  sim_->after(link_.propagation, [to, pkt = std::move(pkt)]() mutable {
+  sim_->after(lanes_[side], link_.propagation, [to, pkt = std::move(pkt)]() mutable {
     to->device->inject(to->port, std::move(pkt));
   });
 }

@@ -9,6 +9,7 @@
 // warm forwarding path stays allocation-free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -94,6 +95,7 @@ class Trunk {
   sim::Scope scope_;
   TrunkMetrics metrics_;
   sim::SpanRecorder spans_;
+  std::array<sim::Lane, 2> lanes_;  // per direction: arrivals in send order
 };
 
 }  // namespace adcp::topo

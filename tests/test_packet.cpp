@@ -121,7 +121,8 @@ TEST(Headers, DecodeRejectsNonInc) {
 
 TEST(Headers, DecodeRejectsTruncated) {
   Packet pkt = make_inc_packet(sample_spec(4));
-  pkt.data.resize(pkt.size() - 8);  // chop one element
+  const auto bytes = pkt.data.bytes();
+  pkt.data = Buffer(std::vector<std::uint8_t>(bytes.begin(), bytes.end() - 8));  // chop one element
   IncHeader out;
   EXPECT_FALSE(decode_inc(pkt, out));
 }

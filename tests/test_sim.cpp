@@ -195,6 +195,106 @@ TEST(Simulator, CancelThenRescheduleReusesSlotWithFreshGeneration) {
   EXPECT_EQ(second, 1);
 }
 
+TEST(SimulatorLane, LaneAndPlainEventsAtOneTimeFireInScheduleOrder) {
+  // A lane event keeps the sequence number it was scheduled with, so it
+  // interleaves with plain events exactly as plain at() calls would —
+  // whichever of the two was scheduled first fires first.
+  Simulator sim;
+  Lane lane;
+  std::vector<int> order;
+  sim.at(100, [&] { order.push_back(0); });
+  sim.at(lane, 100, [&] { order.push_back(1); });
+  sim.at(100, [&] { order.push_back(2); });
+  sim.at(lane, 100, [&] { order.push_back(3); });
+  sim.at(lane, 200, [&] { order.push_back(5); });
+  sim.at(200, [&] { order.push_back(6); });
+  sim.at(150, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(SimulatorLane, ZeroDelayEventFiresAfterEarlierSameTimeEvents) {
+  // Events scheduled for now() ride the kernel's same-time lane; they still
+  // fire after everything already scheduled for now(), lane or heap.
+  Simulator sim;
+  Lane lane;
+  std::vector<int> order;
+  sim.at(100, [&] {
+    order.push_back(0);
+    sim.after(0, [&] { order.push_back(4); });
+    sim.at(sim.now(), [&] { order.push_back(5); });
+  });
+  sim.at(lane, 100, [&] { order.push_back(1); });
+  sim.at(100, [&] {
+    order.push_back(2);
+    sim.after(0, [&] { order.push_back(6); });
+  });
+  sim.at(lane, 100, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(SimulatorLane, PendingCountsLaneEvents) {
+  Simulator sim;
+  Lane a;
+  Lane b;
+  for (Time t : {10u, 20u, 30u}) sim.at(a, t, [] {});
+  sim.at(b, 15, [] {});
+  sim.at(25, [] {});
+  EXPECT_EQ(sim.pending(), 5u);
+  sim.run_until(20);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorLane, OutOfOrderAppendStillFiresInTimeOrder) {
+  // An append earlier than the lane's tail (a reset NIC horizon, say)
+  // becomes a plain event; time order is never violated.
+  Simulator sim;
+  Lane lane;
+  std::vector<Time> fired;
+  auto record = [&] { fired.push_back(sim.now()); };
+  sim.at(lane, 300, record);
+  sim.at(lane, 100, record);
+  sim.at(lane, 300, record);
+  sim.at(lane, 200, record);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{100, 200, 300, 300}));
+}
+
+TEST(SimulatorLane, CancelledSameTimeEventIsSkippedByWindowPrimitives) {
+  // A cancelled now() event leaves a stale record in the same-time lane;
+  // next_event_time() and run_window() must look past it.
+  Simulator sim;
+  EventHandle h = sim.at(0, [] { FAIL() << "cancelled event ran"; });
+  Lane lane;
+  bool ran = false;
+  sim.at(lane, 50, [&] { ran = true; });
+  h.cancel();
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.next_event_time(), 50u);
+  EXPECT_EQ(sim.run_window(50), 0u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.run_window(51), 1u);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 50u);
+}
+
+TEST(SimulatorLane, DrainedLaneCanBeReusedAndMoved) {
+  Simulator sim;
+  std::vector<Lane> lanes(2);
+  int fired = 0;
+  sim.at(lanes[0], 10, [&] { ++fired; });
+  sim.run();
+  lanes.resize(64);  // moves the drained lanes
+  sim.at(lanes[0], 20, [&] { ++fired; });
+  sim.at(lanes[63], 20, [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.now(), 20u);
+}
+
 TEST(Rng, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.uniform(0, 1000), b.uniform(0, 1000));

@@ -5,12 +5,14 @@
 // reused slots, generation-checked handles, and lazily discarded stale heap
 // entries — all invisible to callers, all easy to get subtly wrong. The
 // RefKernel below has none of that: shared_ptr records, linear scan for the
-// earliest event, O(n) everything. Both run identical randomized worlds
+// earliest event, O(n) everything — and no FIFO lanes: a lane event is an
+// ordinary (at, seq) event to it. Both run identical randomized worlds
 // (same seed, same decision stream) and must produce identical firing
-// traces, time trajectories, and pending() counts.
+// traces, time trajectories, next-event times and pending() counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -53,6 +55,9 @@ class RefKernel {
 
   Handle after(Time delay, std::function<void()> fn) { return at(now_ + delay, std::move(fn)); }
 
+  // Lanes are an ordering-preserving optimization; the reference has none.
+  void at_lane(std::size_t /*lane*/, Time t, std::function<void()> fn) { at(t, std::move(fn)); }
+
   Handle every(Time period, Time phase, std::function<void()> fn) {
     Handle h = at(now_ + phase, std::move(fn));
     h->period = period;
@@ -61,9 +66,20 @@ class RefKernel {
 
   static void cancel(Handle& h) { h->alive = false; }
 
-  std::uint64_t run() { return run_until(std::numeric_limits<Time>::max(), false); }
+  std::uint64_t run() { return run_while(std::numeric_limits<Time>::max(), false); }
 
-  std::uint64_t run_until(Time deadline) { return run_until(deadline, true); }
+  std::uint64_t run_until(Time deadline) { return run_while(deadline, true); }
+
+  // Half-open window: events strictly below `end`, now() left at the last.
+  std::uint64_t run_window(Time end) { return end == 0 ? 0 : run_while(end - 1, false); }
+
+  [[nodiscard]] Time next_event_time() const {
+    Time t = Simulator::kNoEventTime;
+    for (const Handle& e : events_) {
+      if (e->alive) t = std::min(t, e->at);
+    }
+    return t;
+  }
 
   [[nodiscard]] std::size_t pending() const {
     return static_cast<std::size_t>(
@@ -71,7 +87,7 @@ class RefKernel {
   }
 
  private:
-  std::uint64_t run_until(Time deadline, bool clamp_now) {
+  std::uint64_t run_while(Time deadline, bool clamp_now) {
     std::uint64_t executed = 0;
     for (;;) {
       Handle best;
@@ -107,7 +123,6 @@ class RefKernel {
 // kernels identically (cancellation lives on EventHandle, not Simulator).
 struct SimAdapter {
   using Handle = EventHandle;
-  Simulator s;
 
   [[nodiscard]] Time now() const { return s.now(); }
   template <typename F>
@@ -122,10 +137,19 @@ struct SimAdapter {
   Handle every(Time period, Time phase, F&& f) {
     return s.every(period, phase, std::forward<F>(f));
   }
+  template <typename F>
+  void at_lane(std::size_t lane, Time t, F&& f) {
+    s.at(lanes[lane], t, std::forward<F>(f));
+  }
   static void cancel(Handle& h) { h.cancel(); }
   std::uint64_t run() { return s.run(); }
   std::uint64_t run_until(Time t) { return s.run_until(t); }
+  std::uint64_t run_window(Time end) { return s.run_window(end); }
+  [[nodiscard]] Time next_event_time() { return s.next_event_time(); }
   [[nodiscard]] std::size_t pending() const { return s.pending(); }
+
+  Simulator s;
+  std::array<Lane, 4> lanes;  // declared after s: destroyed first
 };
 
 // ---------------------------------------------------------------------------
@@ -136,11 +160,14 @@ struct SimAdapter {
 struct Trace {
   std::vector<std::pair<int, Time>> firings;  // (event id, firing time)
   std::vector<Time> now_checkpoints;
+  std::vector<Time> next_event_times;
   std::uint64_t executed_before_deadline = 0;
   std::uint64_t executed_total = 0;
   std::size_t pending_mid = 0;
   Time final_now = 0;
 };
+
+constexpr std::size_t kLanes = 4;
 
 template <typename Kernel>
 Trace run_world(std::uint64_t seed) {
@@ -149,20 +176,39 @@ Trace run_world(std::uint64_t seed) {
   Trace trace;
   int next_id = 0;
   std::vector<std::pair<int, typename Kernel::Handle>> handles;
+  std::array<Time, kLanes> lane_tail{};  // latest time appended per lane
+
+  std::function<void(int)> fire;
+  // A lane append: usually at or after the lane's tail, like a link; now
+  // and then earlier than it (a reset NIC horizon), which the kernel must
+  // turn into a plain event.
+  auto append = [&](std::size_t lane) {
+    Time t = std::max(k.now(), lane_tail[lane]);
+    if (rng.uniform(0, 7) == 0 && lane_tail[lane] > k.now()) {
+      t = rng.uniform(k.now(), lane_tail[lane] - 1);
+    } else {
+      t += rng.uniform(0, 3) == 0 ? 0 : rng.uniform(1, 300);
+    }
+    lane_tail[lane] = std::max(lane_tail[lane], t);
+    const int id = next_id++;
+    k.at_lane(lane, t, [&fire, id] { fire(id); });
+  };
 
   // Recursive scheduling action shared by seed events and callbacks.
-  std::function<void(int)> fire = [&](int id) {
+  fire = [&](int id) {
     trace.firings.emplace_back(id, k.now());
-    const std::uint64_t roll = rng.uniform(0, 9);
-    if (roll < 4 && next_id < 600) {
+    const std::uint64_t roll = rng.uniform(0, 11);
+    if (roll < 4 && next_id < 900) {
       // Schedule a follow-up, sometimes at the current timestamp to
-      // exercise equal-time FIFO ordering.
+      // exercise equal-time FIFO ordering (the same-time lane).
       const Time delta = roll == 0 ? 0 : rng.uniform(1, 700);
       const int id2 = next_id++;
       handles.emplace_back(id2, k.after(delta, [&fire, id2] { fire(id2); }));
     } else if (roll < 6 && !handles.empty()) {
       // Cancel a random known handle (possibly already fired or our own).
       Kernel::cancel(handles[rng.index(handles.size())].second);
+    } else if (roll < 9 && next_id < 900) {
+      append(rng.index(kLanes));
     }
   };
 
@@ -176,15 +222,31 @@ Trace run_world(std::uint64_t seed) {
     handles.emplace_back(
         id, k.every(rng.uniform(50, 400), rng.uniform(1, 300), [&fire, id] { fire(id); }));
   }
+  // Pre-scheduled lane traffic, like hosts that queue every send up front.
+  for (int i = 0; i < 60; ++i) append(rng.index(kLanes));
+  // Same-time events scheduled before the run, some cancelled at once.
+  for (int i = 0; i < 4; ++i) {
+    const int id = next_id++;
+    handles.emplace_back(id, k.at(0, [&fire, id] { fire(id); }));
+    if (i % 2 == 1) Kernel::cancel(handles.back().second);
+  }
 
   trace.executed_before_deadline = k.run_until(2000);
   trace.now_checkpoints.push_back(k.now());
   trace.pending_mid = k.pending();
 
+  // PDES-style windows: half-open, now() parks on the last event run.
+  for (Time end = 2300; end <= 3800; end += 300) {
+    trace.next_event_times.push_back(k.next_event_time());
+    trace.executed_before_deadline += k.run_window(end);
+    trace.now_checkpoints.push_back(k.now());
+  }
+
   // Periodic tasks never drain on their own: run a bounded tail, then
   // cancel everything and let run() consume the leftovers.
   trace.executed_before_deadline += k.run_until(6000);
   trace.now_checkpoints.push_back(k.now());
+  trace.next_event_times.push_back(k.next_event_time());
   for (auto& [id, h] : handles) Kernel::cancel(h);
   trace.executed_total = trace.executed_before_deadline + k.run();
   trace.final_now = k.now();
@@ -192,12 +254,13 @@ Trace run_world(std::uint64_t seed) {
 }
 
 TEST(KernelEquivalence, RandomizedWorldsMatchReferenceModel) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL, 0xdeadbeefULL}) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL, 0xdeadbeefULL, 99ULL, 31337ULL}) {
     const Trace fast = run_world<SimAdapter>(seed);
     const Trace ref = run_world<RefKernel>(seed);
     ASSERT_EQ(fast.firings.size(), ref.firings.size()) << "seed " << seed;
     EXPECT_EQ(fast.firings, ref.firings) << "seed " << seed;
     EXPECT_EQ(fast.now_checkpoints, ref.now_checkpoints) << "seed " << seed;
+    EXPECT_EQ(fast.next_event_times, ref.next_event_times) << "seed " << seed;
     EXPECT_EQ(fast.pending_mid, ref.pending_mid) << "seed " << seed;
     EXPECT_EQ(fast.executed_before_deadline, ref.executed_before_deadline) << "seed " << seed;
     EXPECT_EQ(fast.executed_total, ref.executed_total) << "seed " << seed;
