@@ -70,65 +70,55 @@ std::unique_ptr<net::SwitchDevice> make_switch(sim::Simulator& sim,
 
 }  // namespace
 
+// A sequential build is the one-shard case: the caller's Simulator and
+// scope. A parallel build adds its shards switch by switch (add_switch) and
+// keeps scope_ as a private registry for the finalize_metrics() gauges.
 Network::Network(sim::Simulator& sim, const LeafSpineParams& params, sim::Scope scope)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init(sim, std::move(scope));
-  trunk_rng_ = sim::Rng(params.loss_seed ^ 0x7210'6b5eULL);
+    : profile_(params.profile), scope_(sim::resolve_scope(scope, own_metrics_, "topo")) {
+  begin_build(params.trace, params.loss_seed);
+  add_shard(sim, scope_);
   build_leaf_spine(params);
-  finish_wiring();
   end_build();
 }
 
 Network::Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope scope)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init(sim, std::move(scope));
-  trunk_rng_ = sim::Rng(params.loss_seed ^ 0x7210'6b5eULL);
+    : profile_(params.profile), scope_(sim::resolve_scope(scope, own_metrics_, "topo")) {
+  begin_build(params.trace, params.loss_seed);
+  add_shard(sim, scope_);
   build_fat_tree(params);
-  finish_wiring();
   end_build();
 }
 
 Network::Network(sim::ParallelSimulator& psim, const LeafSpineParams& params)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init_parallel(psim);
-  split_hosts_ =
-      params.host_shards_per_switch > 0 && params.host_link.propagation > 0;
-  loss_seed_base_ = params.loss_seed ^ 0x7210'6b5eULL;
+    : psim_(&psim), profile_(params.profile),
+      split_hosts_(params.host_shards_per_switch > 0 && params.host_link.propagation > 0),
+      scope_(sim::resolve_scope({}, own_metrics_, "topo")) {
+  begin_build(params.trace, params.loss_seed);
   build_leaf_spine(params);
-  finish_wiring();
   end_build();
 }
 
 Network::Network(sim::ParallelSimulator& psim, const FatTreeParams& params)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init_parallel(psim);
-  split_hosts_ =
-      params.host_shards_per_switch > 0 && params.host_link.propagation > 0;
-  loss_seed_base_ = params.loss_seed ^ 0x7210'6b5eULL;
+    : psim_(&psim), profile_(params.profile),
+      split_hosts_(params.host_shards_per_switch > 0 && params.host_link.propagation > 0),
+      scope_(sim::resolve_scope({}, own_metrics_, "topo")) {
+  begin_build(params.trace, params.loss_seed);
   build_fat_tree(params);
-  finish_wiring();
   end_build();
 }
 
-void Network::begin_build() {
+void Network::begin_build(const sim::TraceConfig& trace, std::uint64_t loss_seed) {
   build_t0_ms_ = wall_ms();
   build_reserved0_ = mat::StateAccounting::reserved_bytes();
   build_touched0_ = mat::StateAccounting::touched_bytes();
+  trace_cfg_ = trace;
+  sampler_ = sim::TraceSampler(trace_cfg_);
+  loss_seed_base_ = loss_seed ^ 0x7210'6b5eULL;
+  trunk_rng_ = sim::Rng(loss_seed_base_);
 }
 
 void Network::end_build() {
+  finish_wiring();
   construction_.build_ms = wall_ms() - build_t0_ms_;
   construction_.bytes_reserved = mat::StateAccounting::reserved_bytes() - build_reserved0_;
   construction_.bytes_touched = mat::StateAccounting::touched_bytes() - build_touched0_;
@@ -191,36 +181,27 @@ void Network::export_fastpath(sim::Scope scope) const {
                                    static_cast<double>(probes));
 }
 
-void Network::init(sim::Simulator& sim, sim::Scope scope) {
-  sim_ = &sim;
-  scope_ = sim::resolve_scope(scope, own_metrics_, "topo");
-  hops_ = &scope_.histogram("hops");
+/// Every shard registers the shared "topo.hops" name; merged_hops() and
+/// merged_snapshot() fold the per-shard sample sets back into one.
+std::size_t Network::add_shard(sim::Simulator& sim, sim::Scope scope,
+                               std::unique_ptr<sim::MetricRegistry> registry) {
   // Arm the flight recorder before any component interns a recorder so
-  // everything built below records from the first packet.
-  if (trace_cfg_.enabled()) scope_.registry()->spans().enable(trace_cfg_.ring_capacity);
+  // everything built on this shard records from the first packet.
+  if (trace_cfg_.enabled()) scope.registry()->spans().enable(trace_cfg_.ring_capacity);
+  Shard& shard = shards_.emplace_back();
+  shard.sim = &sim;
+  shard.hops = &scope.histogram("hops");
+  shard.scope = std::move(scope);
+  shard.registry = std::move(registry);
+  return shards_.size() - 1;
 }
 
-void Network::init_parallel(sim::ParallelSimulator& psim) {
-  psim_ = &psim;
-  // The network-level registry only carries the finalize_metrics() gauges;
-  // everything shard-owned lives in shard_regs_ and is folded back in by
-  // merged_snapshot().
-  scope_ = sim::resolve_scope({}, own_metrics_, "topo");
-}
-
-/// Appends one shard with its own registry (spans armed when tracing) and
-/// "topo.hops" histogram; returns the shard's Simulator. Every shard
-/// registers the shared histogram name; merged_snapshot() folds the
-/// per-shard sample sets back into one "topo.hops".
-sim::Simulator& Network::add_shard_registry(sim::Scope& parent_out) {
-  sim::Simulator& shard = psim_->add_shard();
-  shard_regs_.push_back(std::make_unique<sim::MetricRegistry>());
-  if (trace_cfg_.enabled()) {
-    shard_regs_.back()->spans().enable(trace_cfg_.ring_capacity);
-  }
-  parent_out = shard_regs_.back()->scope("topo");
-  shard_hops_.push_back(&parent_out.histogram("hops"));
-  return shard;
+std::size_t Network::add_shard() {
+  auto registry = std::make_unique<sim::MetricRegistry>();
+  sim::Scope scope = registry->scope("topo");
+  const std::size_t i = add_shard(psim_->add_shard(), std::move(scope), std::move(registry));
+  assert(i + 1 == psim_->shard_count() && "shard ids must match the engine's");
+  return i;
 }
 
 Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_count,
@@ -228,31 +209,19 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
                                          std::size_t host_count, net::Link host_link,
                                          std::uint64_t loss_seed) {
   const std::size_t i = switches_.size();
-  sim::Simulator* sw_sim = sim_;
-  sim::Simulator* host_sim = sim_;
-  sim::Scope parent = scope_;
-  sim::Scope host_parent = scope_;
-  if (psim_ != nullptr) {
-    switch_shard_.push_back(psim_->shard_count());
-    sw_sim = &add_shard_registry(parent);
-    if (split_hosts_ && host_count > 0) {
-      // The hosts of this switch get their own shard: their events (NIC
-      // pacing, rx accounting) are the bulk of the work on incast-heavy
-      // scenarios, and splitting them off lets the partitioner balance
-      // workers instead of pinning a whole rack to one thread.
-      host_shard_.push_back(psim_->shard_count());
-      host_sim = &add_shard_registry(host_parent);
-    } else {
-      host_shard_.push_back(switch_shard_.back());
-      host_sim = sw_sim;
-      host_parent = parent;
-    }
-  }
+  switch_shard_.push_back(psim_ != nullptr ? add_shard() : 0);
+  // With split hosts this switch's hosts get their own shard: their events
+  // (NIC pacing, rx accounting) are the bulk of the work on incast-heavy
+  // scenarios, and splitting them off lets the partitioner balance workers
+  // instead of pinning a whole rack to one thread.
+  host_shard_.push_back(split_hosts_ && host_count > 0 ? add_shard() : switch_shard_.back());
   kind_.push_back(kind);
   ctrl_ip_.push_back(0);
   mgmt_port_.push_back(packet::kInvalidPort);
-  sim::Scope sw_scope = parent.scope("sw" + std::to_string(i));
-  sim::Scope host_scope = host_parent.scope("sw" + std::to_string(i));
+  const Shard& sw_shard = shards_[switch_shard_.back()];
+  const Shard& host_shard = shards_[host_shard_.back()];
+  sim::Scope sw_scope = sw_shard.scope.scope("sw" + std::to_string(i));
+  sim::Scope host_scope = host_shard.scope.scope("sw" + std::to_string(i));
   // The heavy-hitter sketch is per switch (one stage memory) with a
   // per-switch lottery stream; the routing program shares the object.
   telem::HeavyHitterSketch* sketch = nullptr;
@@ -269,101 +238,49 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   SwitchSlot slot;
   const SwitchTemplate& tmpl = template_for(kind, port_count);
   slot.device =
-      make_switch(*sw_sim, tmpl, profile_.share_templates, fib, sw_scope, sketch);
+      make_switch(*sw_shard.sim, tmpl, profile_.share_templates, fib, sw_scope, sketch);
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
   // closure still runs on the switch shard but only routes — per-host
   // state is reached through the mailbox taps wired in finish_wiring().
-  slot.fabric = std::make_unique<net::Fabric>(*host_sim, *slot.device, host_link,
+  slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, host_link,
                                               loss_seed, host_scope, host_count);
   slot.fib = std::move(fib);
   switches_.push_back(std::move(slot));
   return switches_.back();
 }
 
-std::size_t Network::switch_index_of(const net::SwitchDevice* device) const {
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    if (switches_[i].device.get() == device) return i;
-  }
-  assert(false && "trunk endpoint is not a switch of this network");
-  return 0;
-}
-
-std::size_t Network::add_trunk(Trunk::End a, Trunk::End b, net::Link link) {
-  if (psim_ != nullptr) {
-    const std::size_t i = strunks_.size();
-    const std::size_t ai = switch_index_of(a.device);
-    const std::size_t bi = switch_index_of(b.device);
-    const std::string name = "topo.trunk" + std::to_string(i);
-    auto st = std::make_unique<ShardedTrunk>();
-    st->link = link;
-    // Mailbox ids follow trunk creation order, a-side first, so the
-    // barrier's (time, mailbox, seq) injection order is (time, trunk,
-    // direction, fifo) — fixed by the topology, not by thread timing.
-    const std::size_t as = switch_shard_[ai];
-    const std::size_t bs = switch_shard_[bi];
-    st->ab.to = b;
-    st->ab.link = link;
-    st->ab.src_sim = &psim_->shard(as);
-    st->ab.mailbox = &psim_->add_mailbox(as, bs, link.propagation);
-    st->ab.rng = sim::Rng(tm::placement::mix(loss_seed_base_ ^ (2 * i)));
-    // Dropped packets recycle into the sending switch's fabric pool — but
-    // only when that pool lives on the same shard. With split hosts the
-    // pool belongs to the host shard, and releasing across the cut would
-    // race; dropping the packet on the floor is correct (pools are an
-    // allocation optimization, not an accounting surface).
-    st->ab.drop_pool = host_shard_[ai] == as ? &switches_[ai].fabric->pool() : nullptr;
-    sim::Scope sa = shard_regs_[as]->scope(name);
-    st->ab.packets = &sa.counter("ab.packets");
-    st->ab.bytes = &sa.counter("ab.bytes");
-    st->ab.drops = &sa.counter("drops.link");
-    st->ab.spans = sa.span_recorder();
-    st->ab.side = 0;
-    st->ba.to = a;
-    st->ba.link = link;
-    st->ba.src_sim = &psim_->shard(bs);
-    st->ba.mailbox = &psim_->add_mailbox(bs, as, link.propagation);
-    st->ba.rng = sim::Rng(tm::placement::mix(loss_seed_base_ ^ (2 * i + 1)));
-    st->ba.drop_pool = host_shard_[bi] == bs ? &switches_[bi].fabric->pool() : nullptr;
-    sim::Scope sb = shard_regs_[bs]->scope(name);
-    st->ba.packets = &sb.counter("ba.packets");
-    st->ba.bytes = &sb.counter("ba.bytes");
-    st->ba.drops = &sb.counter("drops.link");
-    st->ba.spans = sb.span_recorder();
-    st->ba.side = 1;
-    strunks_.push_back(std::move(st));
-    return i;
-  }
+std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t b,
+                               packet::PortId b_port, net::Link link) {
   const std::size_t i = trunks_.size();
-  // Dropped trunk packets recycle into the pool of the lower-tier fabric
-  // (the rack that sourced or will sink most of its traffic).
-  packet::Pool* pool = nullptr;
-  for (SwitchSlot& s : switches_) {
-    if (s.device.get() == a.device) pool = &s.fabric->pool();
-  }
-  trunks_.push_back(std::make_unique<Trunk>(*sim_, a, b, link, &trunk_rng_, pool,
-                                            scope_.scope("trunk" + std::to_string(i))));
+  const std::string name = "trunk" + std::to_string(i);
+  // Each direction counts, draws and records on its sending switch's shard.
+  // Inside one shard every trunk shares trunk_rng_ and drops recycle into
+  // the lower-tier (a-side) fabric's pool — the rack that sources or sinks
+  // most of the traffic. Across a shard cut each direction draws its own
+  // stream, and drops recycle into the sender's fabric pool only when that
+  // pool lives on the sender's shard (with split hosts it belongs to the
+  // host shard, and releasing across the cut would race; pools are an
+  // allocation optimization, not an accounting surface). Mailbox ids follow
+  // trunk creation order, a-side first, so the barrier's (time, mailbox,
+  // seq) injection order is (time, trunk, direction, fifo) — fixed by the
+  // topology, not by thread timing.
+  const auto sender = [&](std::size_t from, std::size_t to, std::uint64_t dir) {
+    const std::size_t shard = switch_shard_[from];
+    Trunk::Sender s{shards_[shard].sim, shards_[shard].scope.scope(name), &trunk_rng_,
+                    &switches_[a].fabric->pool(), nullptr};
+    if (shard != switch_shard_[to]) {
+      s.rng = &streams_.emplace_back(tm::placement::mix(loss_seed_base_ ^ (2 * i + dir)));
+      s.drop_pool = host_shard_[from] == shard ? &switches_[from].fabric->pool() : nullptr;
+      s.mailbox = &psim_->add_mailbox(shard, switch_shard_[to], link.propagation);
+    }
+    return s;
+  };
+  const Trunk::Sender from_a = sender(a, b, 0);
+  const Trunk::Sender from_b = sender(b, a, 1);
+  trunks_.push_back(std::make_unique<Trunk>(Trunk::End{switches_[a].device.get(), a_port, a},
+                                            Trunk::End{switches_[b].device.get(), b_port, b},
+                                            link, from_a, from_b));
   return i;
-}
-
-void Network::ShardedHalf::forward(packet::Packet pkt) {
-  packets->add();
-  bytes->add(pkt.size());
-  if (link.loss_rate > 0.0 && rng.chance(link.loss_rate)) {
-    drops->add();
-    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, src_sim->now(),
-                  static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (drop_pool != nullptr) drop_pool->release(std::move(pkt));
-    return;
-  }
-  // Wire span in the sending shard's buffer; same [begin, end] and side
-  // annotation as Trunk::forward, so sequential and parallel traces agree.
-  spans.span(sim::SpanKind::kTrunk, pkt.meta.trace_id, src_sim->now(),
-             src_sim->now() + link.propagation, side, pkt.size());
-  Trunk::End* dst = &to;
-  mailbox->push(src_sim->now() + link.propagation,
-                [dst, pkt = std::move(pkt)]() mutable {
-                  dst->device->inject(dst->port, std::move(pkt));
-                });
 }
 
 void Network::HostTap::deliver(packet::Packet pkt) {
@@ -434,9 +351,7 @@ void Network::build_leaf_spine(const LeafSpineParams& p) {
   ecmp_groups_.resize(L);
   for (std::uint32_t l = 0; l < L; ++l) {
     for (std::uint32_t s = 0; s < S; ++s) {
-      ecmp_groups_[l].push_back(add_trunk({switches_[l].device.get(), H + s},
-                                          {switches_[L + s].device.get(), l},
-                                          p.trunk_link));
+      ecmp_groups_[l].push_back(add_trunk(l, H + s, L + s, l, p.trunk_link));
     }
   }
 }
@@ -446,7 +361,6 @@ void Network::build_fat_tree(const FatTreeParams& p) {
   const std::uint32_t k = p.k;
   const std::uint32_t half = k / 2;
   const std::uint32_t edges = k * half;   // also the aggregation count
-  const std::uint32_t cores = half * half;
   const auto edge_index = [half](std::uint32_t pod, std::uint32_t e) { return pod * half + e; };
   const auto agg_index = [edges, half](std::uint32_t pod, std::uint32_t a) {
     return edges + pod * half + a;
@@ -507,7 +421,6 @@ void Network::build_fat_tree(const FatTreeParams& p) {
       if (armed) mgmt_port_.back() = k;
     }
   }
-  (void)cores;
 
   // Edge <-> aggregation inside each pod; aggregation <-> core across pods.
   ecmp_groups_.resize(edges + edges);
@@ -515,16 +428,14 @@ void Network::build_fat_tree(const FatTreeParams& p) {
     for (std::uint32_t e = 0; e < half; ++e) {
       for (std::uint32_t a = 0; a < half; ++a) {
         ecmp_groups_[edge_index(pod, e)].push_back(
-            add_trunk({switches_[edge_index(pod, e)].device.get(), half + a},
-                      {switches_[agg_index(pod, a)].device.get(), e}, p.trunk_link));
+            add_trunk(edge_index(pod, e), half + a, agg_index(pod, a), e, p.trunk_link));
       }
     }
     for (std::uint32_t i = 0; i < half; ++i) {
       for (std::uint32_t j = 0; j < half; ++j) {
         // agg_index already lands in [edges, 2*edges) — the agg group slab.
         ecmp_groups_[agg_index(pod, i)].push_back(
-            add_trunk({switches_[agg_index(pod, i)].device.get(), half + j},
-                      {switches_[core_index(i, j)].device.get(), pod}, p.trunk_link));
+            add_trunk(agg_index(pod, i), half + j, core_index(i, j), pod, p.trunk_link));
       }
     }
   }
@@ -538,8 +449,16 @@ void Network::finish_wiring() {
   // closures capture pointers into them (set_control_sink fills the slots
   // later, after ctrl:: attaches).
   ctrl_sinks_.resize(switches_.size());
+  // Every switch's port -> (trunk, side) map, from one pass over the trunks.
+  std::vector<std::vector<std::pair<Trunk*, int>>> tx(switches_.size());
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    SwitchSlot& slot = switches_[i];
+    tx[i].assign(switches_[i].device->port_count(), {nullptr, 0});
+  }
+  for (const auto& t : trunks_) {
+    tx[t->a().sw][t->a().port] = {t.get(), 0};
+    tx[t->b().sw][t->b().port] = {t.get(), 1};
+  }
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
     // Management-port TX runs on the switch's shard, so a sink stages
     // control updates into switch-owned state without crossing the cut.
     // The packet is dropped on the floor after the sink: with split hosts
@@ -548,39 +467,16 @@ void Network::finish_wiring() {
     const packet::PortId mgmt = mgmt_port_[i];
     std::function<void(const packet::Packet&)>* sink =
         mgmt != packet::kInvalidPort ? &ctrl_sinks_[i] : nullptr;
-    if (psim_ != nullptr) {
-      std::vector<ShardedHalf*> map(slot.device->port_count(), nullptr);
-      for (const auto& st : strunks_) {
-        if (st->ba.to.device == slot.device.get()) map[st->ba.to.port] = &st->ab;
-        if (st->ab.to.device == slot.device.get()) map[st->ab.to.port] = &st->ba;
+    switches_[i].fabric->set_default_tx([map = std::move(tx[i]), mgmt, sink](
+                                            packet::PortId port, packet::Packet pkt) {
+      if (port == mgmt && sink != nullptr) {
+        if (*sink) (*sink)(pkt);
+        return;
       }
-      slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](
-                                      packet::PortId port, packet::Packet pkt) {
-        if (port == mgmt && sink != nullptr) {
-          if (*sink) (*sink)(pkt);
-          return;
-        }
-        if (port < map.size() && map[port] != nullptr) {
-          map[port]->forward(std::move(pkt));
-        }
-      });
-    } else {
-      std::vector<std::pair<Trunk*, int>> map(slot.device->port_count(), {nullptr, 0});
-      for (const auto& t : trunks_) {
-        if (t->a().device == slot.device.get()) map[t->a().port] = {t.get(), 0};
-        if (t->b().device == slot.device.get()) map[t->b().port] = {t.get(), 1};
+      if (port < map.size() && map[port].first != nullptr) {
+        map[port].first->forward(map[port].second, std::move(pkt));
       }
-      slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](
-                                      packet::PortId port, packet::Packet pkt) {
-        if (port == mgmt && sink != nullptr) {
-          if (*sink) (*sink)(pkt);
-          return;
-        }
-        if (port < map.size() && map[port].first != nullptr) {
-          map[port].first->forward(map[port].second, std::move(pkt));
-        }
-      });
-    }
+    });
   }
 
   // Split hosts: install the cross-shard taps. Every hosted switch gets
@@ -590,7 +486,7 @@ void Network::finish_wiring() {
   // host index, fixed by the topology — deterministic for any thread
   // count (but, like lossy trunks, a different stream than the sequential
   // fabric's shared one).
-  if (psim_ != nullptr && split_hosts_) {
+  if (split_hosts_) {
     std::size_t g = 0;  // global host index (host_loc_ creation order)
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
@@ -603,15 +499,14 @@ void Network::finish_wiring() {
           psim_->add_mailbox(host_shard_[i], switch_shard_[i], access.propagation);
       sim::Mailbox& down =
           psim_->add_mailbox(switch_shard_[i], host_shard_[i], access.propagation);
-      sim::Scope sw_side = shard_regs_[switch_shard_[i]]->scope("topo").scope(
-          "sw" + std::to_string(i));
+      const sim::Scope sw_side = switch_scope(i);
       for (net::Host& h : hosts) {
         auto tap = std::make_unique<HostTap>();
         tap->host = &h;
         tap->device = switches_[i].device.get();
         tap->port = h.port();
         tap->link = access;
-        tap->sw_sim = &psim_->shard(switch_shard_[i]);
+        tap->sw_sim = shards_[switch_shard_[i]].sim;
         tap->up = &up;
         tap->down = &down;
         tap->rng = sim::Rng(
@@ -634,9 +529,9 @@ void Network::finish_wiring() {
 
   // Hop-count probe: the routing programs decrement the wire TTL once per
   // switch, so a delivered packet's hop count is kIncInitialTtl - ttl.
-  // Parallel mode records into the receiving host's shard histogram.
+  // Each host records into its own shard's histogram.
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    sim::Histogram* hist = psim_ != nullptr ? shard_hops_[host_shard_[i]] : hops_;
+    sim::Histogram* hist = shards_[host_shard_[i]].hops;
     for (net::Host& h : switches_[i].fabric->hosts()) {
       h.add_rx_callback([hist](net::Host&, const packet::Packet& pkt) {
         if (pkt.size() >= packet::kEthernetBytes + packet::kIpv4Bytes &&
@@ -658,9 +553,9 @@ void Network::finish_wiring() {
   // only, never results.
   if (psim_ != nullptr) {
     std::vector<std::size_t> degree(switches_.size(), 0);
-    for (const auto& st : strunks_) {
-      ++degree[switch_index_of(st->ab.to.device)];
-      ++degree[switch_index_of(st->ba.to.device)];
+    for (const auto& t : trunks_) {
+      ++degree[t->a().sw];
+      ++degree[t->b().sw];
     }
     std::vector<double> w(psim_->shard_count(), 1.0);
     for (std::size_t i = 0; i < switches_.size(); ++i) {
@@ -752,69 +647,48 @@ void Network::set_control_sink(std::size_t i,
 }
 
 sim::Scope Network::switch_scope(std::size_t i) {
-  assert(i < switches_.size());
-  if (psim_ != nullptr) {
-    return shard_regs_[switch_shard_[i]]->scope("topo").scope("sw" + std::to_string(i));
-  }
-  return scope_.scope("sw" + std::to_string(i));
+  return shards_[switch_shard_.at(i)].scope.scope("sw" + std::to_string(i));
 }
 
 sim::Scope Network::host_shard_scope(std::size_t i) {
-  const std::size_t sw = host_loc_.at(i).first;
-  if (psim_ != nullptr) return shard_regs_[host_shard_[sw]]->scope("topo");
-  return scope_;
+  return shards_[host_shard_[host_loc_.at(i).first]].scope;
 }
 
 sim::Simulator& Network::sim_of_host(std::size_t i) {
-  const std::size_t sw = host_loc_.at(i).first;
-  return psim_ != nullptr ? psim_->shard(host_shard_.at(sw)) : *sim_;
+  return *shards_[host_shard_[host_loc_.at(i).first]].sim;
 }
 
 sim::Simulator& Network::sim_of_switch(std::size_t i) {
-  assert(i < switches_.size());
-  return psim_ != nullptr ? psim_->shard(switch_shard_.at(i)) : *sim_;
+  return *shards_[switch_shard_.at(i)].sim;
 }
 
 std::uint64_t Network::trunk_packets(std::size_t i, int side) const {
-  if (psim_ != nullptr) {
-    const ShardedTrunk& st = *strunks_.at(i);
-    return (side == 0 ? st.ab.packets : st.ba.packets)->value();
-  }
   return trunks_.at(i)->packets(side);
 }
 
 std::uint64_t Network::trunk_bytes(std::size_t i, int side) const {
-  if (psim_ != nullptr) {
-    const ShardedTrunk& st = *strunks_.at(i);
-    return (side == 0 ? st.ab.bytes : st.ba.bytes)->value();
-  }
   return trunks_.at(i)->bytes(side);
 }
 
 sim::Histogram Network::merged_hops() const {
   sim::Histogram out;
-  if (psim_ != nullptr) {
-    for (const sim::Histogram* h : shard_hops_) out.merge(*h);
-  } else {
-    out.merge(*hops_);
-  }
+  for (const Shard& shard : shards_) out.merge(*shard.hops);
   return out;
 }
 
 std::vector<const sim::SpanBuffer*> Network::span_buffers() const {
   std::vector<const sim::SpanBuffer*> out;
-  if (psim_ != nullptr) {
-    out.reserve(shard_regs_.size());
-    for (const auto& reg : shard_regs_) out.push_back(&reg->spans());
-  } else {
-    out.push_back(&scope_.registry()->spans());
-  }
+  out.reserve(shards_.size());
+  for (const Shard& shard : shards_) out.push_back(&shard.scope.registry()->spans());
   return out;
 }
 
 sim::Snapshot Network::merged_snapshot() const {
+  // The borrowed sequential shard reports into scope_'s registry itself.
   sim::Snapshot snap = scope_.registry()->snapshot();
-  for (const auto& reg : shard_regs_) snap.merge(reg->snapshot());
+  for (const Shard& shard : shards_) {
+    if (shard.registry) snap.merge(shard.registry->snapshot());
+  }
   return snap;
 }
 
@@ -857,26 +731,18 @@ std::uint64_t Network::total_host_link_drops() const {
 
 std::uint64_t Network::total_trunk_drops() const {
   std::uint64_t total = 0;
-  if (psim_ != nullptr) {
-    for (const auto& st : strunks_) total += st->ab.drops->value() + st->ba.drops->value();
-  } else {
-    for (const auto& t : trunks_) total += t->drops();
-  }
+  for (const auto& t : trunks_) total += t->drops();
   return total;
 }
 
 void Network::finalize_metrics() {
-  const sim::Time elapsed = psim_ != nullptr ? psim_->now() : sim_->now();
-  const auto utilization = [&](std::size_t i, int side) {
-    const net::Link& link = psim_ != nullptr ? strunks_[i]->link : trunks_[i]->link();
-    if (elapsed == 0 || link.gbps <= 0.0) return 0.0;
-    const double bits = static_cast<double>(trunk_bytes(i, side)) * 8.0;
-    return bits * 1000.0 / (link.gbps * static_cast<double>(elapsed));
-  };
+  // The last executed event across shards (ParallelSimulator::now()).
+  sim::Time elapsed = 0;
+  for (const Shard& shard : shards_) elapsed = std::max(elapsed, shard.sim->now());
   double max_util = 0.0;
   for (std::size_t i = 0; i < trunk_count(); ++i) {
-    const double ab = utilization(i, 0);
-    const double ba = utilization(i, 1);
+    const double ab = trunks_[i]->utilization(0, elapsed);
+    const double ba = trunks_[i]->utilization(1, elapsed);
     sim::Scope ts = scope_.scope("trunk" + std::to_string(i));
     ts.gauge("ab.utilization").set(ab);
     ts.gauge("ba.utilization").set(ba);

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -104,19 +105,20 @@ class Network {
   Network(sim::Simulator& sim, const LeafSpineParams& params, sim::Scope scope = {});
   Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope scope = {});
 
-  /// Sharded construction for conservative-parallel runs: every switch and
-  /// its attached hosts get a private shard (Simulator + MetricRegistry +
-  /// packet pool) on `psim`, and each trunk direction becomes a cross-shard
-  /// mailbox whose latency is the trunk's propagation delay (the
-  /// conservative lookahead). Drive the run with psim.run(); read results
-  /// through merged_snapshot()/merged_hops()/finalize_metrics(), which
-  /// reproduce the sequential path's metric names and (for lossless
-  /// trunks) bit-identical values — same final time, same snapshot bytes;
-  /// only the executed-event count may differ from the monolithic build by
-  /// a few coalesced idle-wakes (see ParallelSimulator::run). Lossy trunks
-  /// stay deterministic for any worker count but draw from per-direction
-  /// RNG streams, so their drop patterns differ from the sequential
-  /// shared-stream ones.
+  /// Sharded construction for conservative-parallel runs: every switch and its
+  /// attached hosts get a private shard (Simulator + MetricRegistry + packet
+  /// pool) on `psim`, and each trunk direction delivers through a cross-shard
+  /// mailbox whose latency is the trunk's propagation delay (the conservative
+  /// lookahead). The sequential constructors build the same fabric on one
+  /// borrowed shard: the caller's Simulator and scope. Drive the run with
+  /// psim.run(); read results through
+  /// merged_snapshot()/merged_hops()/finalize_metrics(), which reproduce the
+  /// sequential path's metric names and (for lossless trunks) bit-identical
+  /// values — same final time, same snapshot bytes; only the executed-event
+  /// count may differ from the monolithic build by a few coalesced idle-wakes
+  /// (see ParallelSimulator::run). Lossy trunks stay deterministic for any
+  /// worker count but draw from per-direction RNG streams, so their drop
+  /// patterns differ from the sequential shared-stream ones.
   Network(sim::ParallelSimulator& psim, const LeafSpineParams& params);
   Network(sim::ParallelSimulator& psim, const FatTreeParams& params);
 
@@ -137,11 +139,7 @@ class Network {
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
   net::SwitchDevice& device(std::size_t i) { return *switches_.at(i).device; }
   net::Fabric& fabric(std::size_t i) { return *switches_.at(i).fabric; }
-  [[nodiscard]] std::size_t trunk_count() const {
-    return psim_ != nullptr ? strunks_.size() : trunks_.size();
-  }
-  /// Sequential mode only (sharded trunks have no Trunk object; use the
-  /// trunk_packets/trunk_bytes accessors, which work in both modes).
+  [[nodiscard]] std::size_t trunk_count() const { return trunks_.size(); }
   Trunk& trunk(std::size_t i) { return *trunks_.at(i); }
   [[nodiscard]] std::uint64_t trunk_packets(std::size_t i, int side) const;
   [[nodiscard]] std::uint64_t trunk_bytes(std::size_t i, int side) const;
@@ -163,9 +161,9 @@ class Network {
   [[nodiscard]] sim::MetricRegistry& metrics() { return *scope_.registry(); }
   [[nodiscard]] const sim::Scope& scope() const { return scope_; }
   /// Hop count of every delivered IPv4 packet ("topo.hops"). reserve() it
-  /// before a zero-allocation measuring window. Sequential mode only; the
-  /// parallel equivalent is merged_hops().
-  [[nodiscard]] sim::Histogram& hops() { return *hops_; }
+  /// before a zero-allocation measuring window. In parallel mode this is
+  /// only the first shard's histogram; merged_hops() covers every shard.
+  [[nodiscard]] sim::Histogram& hops() { return *shards_.front().hops; }
   /// All shards' hop samples folded into one histogram (sequential mode:
   /// a copy of hops()).
   [[nodiscard]] sim::Histogram merged_hops() const;
@@ -176,10 +174,10 @@ class Network {
   /// network-level gauges — same metric names, and for lossless trunks the
   /// same adcp-metrics-v1 bytes, as the sequential path.
   [[nodiscard]] sim::Snapshot merged_snapshot() const;
-  /// Per-shard registry (parallel mode), indexed by shard id (see
-  /// sim_of_switch/sim_of_host for the switch/host -> shard mapping).
+  /// Per-shard registry, indexed by shard id (see sim_of_switch/sim_of_host
+  /// for the switch/host -> shard mapping; a sequential build has one).
   [[nodiscard]] sim::MetricRegistry& shard_metrics(std::size_t i) {
-    return *shard_regs_.at(i);
+    return *shards_.at(i).scope.registry();
   }
 
   /// Every SpanBuffer of the fabric in deterministic order, ready for the
@@ -315,33 +313,14 @@ class Network {
     std::shared_ptr<ForwardingTable> fib;
   };
 
-  /// One direction of a cross-shard trunk: counters live in the sending
-  /// shard's registry, the loss lottery draws a private per-direction
-  /// stream, drops recycle into the sending shard's pool, and delivery
-  /// goes through the trunk's mailbox instead of a local event — exactly
-  /// one scheduled event per forwarded packet, like Trunk::forward.
-  struct ShardedHalf {
-    Trunk::End to;
-    net::Link link;
-    sim::Simulator* src_sim = nullptr;
-    sim::Mailbox* mailbox = nullptr;
-    sim::Rng rng{0};
-    packet::Pool* drop_pool = nullptr;
-    sim::Counter* packets = nullptr;
-    sim::Counter* bytes = nullptr;
-    sim::Counter* drops = nullptr;
-    sim::SpanRecorder spans;     // records into the sending shard's buffer
-    std::uint64_t side = 0;      // 0 = ab, 1 = ba (matches Trunk::forward)
-
-    void forward(packet::Packet pkt);
-  };
-
-  /// A trunk cut by the shard boundary: ab carries side-0 (upward)
-  /// traffic, ba side-1.
-  struct ShardedTrunk {
-    ShardedHalf ab;
-    ShardedHalf ba;
-    net::Link link;
+  /// One event domain of the fabric: its clock, the "topo" scope on its
+  /// registry, and that registry's "topo.hops" histogram. A sequential
+  /// build has exactly one, borrowed from the caller (no owned registry).
+  struct Shard {
+    sim::Simulator* sim = nullptr;
+    sim::Scope scope;
+    sim::Histogram* hops = nullptr;
+    std::unique_ptr<sim::MetricRegistry> registry;  // parallel mode only
   };
 
   /// The switch-shard side of one host's access link when the hosts live
@@ -367,18 +346,20 @@ class Network {
     void deliver(packet::Packet pkt);
   };
 
-  void init(sim::Simulator& sim, sim::Scope scope);
-  void init_parallel(sim::ParallelSimulator& psim);
   /// Bracket the constructor body: snapshot the state-accounting counters
-  /// and the wall clock, then fill construction_ with the deltas.
-  void begin_build();
+  /// and the wall clock and take the trace and loss-seed parameters; then
+  /// wire the fabric (finish_wiring) and fill construction_ with the deltas.
+  void begin_build(const sim::TraceConfig& trace, std::uint64_t loss_seed);
   void end_build();
   /// The shared template for this (kind, port_count), building and caching
   /// it on first request; counts cache hits as templates_shared.
   const SwitchTemplate& template_for(SwitchKind kind, std::uint32_t port_count);
-  /// Parallel mode: appends one shard + registry + "topo.hops" histogram;
-  /// returns the shard's Simulator and its "topo" scope through parent_out.
-  sim::Simulator& add_shard_registry(sim::Scope& parent_out);
+  /// Appends a shard driven by `sim` reporting under `scope` (its "topo"
+  /// scope) and returns its index; arms the registry's spans when tracing.
+  std::size_t add_shard(sim::Simulator& sim, sim::Scope scope,
+                        std::unique_ptr<sim::MetricRegistry> registry = nullptr);
+  /// Parallel mode: appends a fresh psim shard with its own registry.
+  std::size_t add_shard();
   void build_leaf_spine(const LeafSpineParams& p);
   void build_fat_tree(const FatTreeParams& p);
   /// Creates switch i (device + fabric with `host_count` hosts) and loads
@@ -387,10 +368,11 @@ class Network {
   SwitchSlot& add_switch(SwitchKind kind, std::uint32_t port_count,
                          std::shared_ptr<ForwardingTable> fib, std::size_t host_count,
                          net::Link host_link, std::uint64_t loss_seed);
-  /// Creates trunk i between two switch ports; `a` must be the lower tier
-  /// (side 0 = upward traffic, the direction ECMP spreads). Returns the
-  /// trunk index (valid in both modes).
-  std::size_t add_trunk(Trunk::End a, Trunk::End b, net::Link link);
+  /// Creates the next trunk between port `a_port` of switch `a` and port
+  /// `b_port` of switch `b`; `a` must be the lower tier (side 0 = upward
+  /// traffic, the direction ECMP spreads). Returns the trunk index.
+  std::size_t add_trunk(std::size_t a, packet::PortId a_port, std::size_t b,
+                        packet::PortId b_port, net::Link link);
   /// After all switches and trunks exist: point every switch's hostless
   /// TX ports at its trunks and hook the hop-count probe on every host.
   void finish_wiring();
@@ -401,9 +383,7 @@ class Network {
   /// profile_.telemetry.armed: builds the taps, the collector, and the
   /// sink-host report forwarding (no-op when disarmed).
   void arm_telemetry();
-  [[nodiscard]] std::size_t switch_index_of(const net::SwitchDevice* device) const;
 
-  sim::Simulator* sim_ = nullptr;
   sim::ParallelSimulator* psim_ = nullptr;
   TierProfile profile_{};
   std::map<std::pair<int, std::uint32_t>, std::shared_ptr<const SwitchTemplate>> templates_;
@@ -412,20 +392,20 @@ class Network {
   std::uint64_t build_reserved0_ = 0;  // StateAccounting at begin_build()
   std::uint64_t build_touched0_ = 0;
   bool split_hosts_ = false;          // hosts on their own shards (parallel)
-  std::uint64_t loss_seed_base_ = 0;  // per-direction RNG streams (parallel)
+  std::uint64_t loss_seed_base_ = 0;  // seeds every trunk loss stream
   sim::TraceConfig trace_cfg_{};
   sim::TraceSampler sampler_;  // stable address: hosts keep a pointer
   // Declared before scope_, which may register through it.
   std::unique_ptr<sim::MetricRegistry> own_metrics_;
   sim::Scope scope_;
-  sim::Rng trunk_rng_{0};
+  sim::Rng trunk_rng_{0};          // shared by trunks inside one shard
+  std::deque<sim::Rng> streams_;   // one per direction of a cut trunk
+  std::vector<Shard> shards_;
   std::vector<SwitchSlot> switches_;
-  std::vector<std::unique_ptr<Trunk>> trunks_;            // sequential mode
-  std::vector<std::unique_ptr<ShardedTrunk>> strunks_;    // parallel mode
-  std::vector<std::unique_ptr<HostTap>> taps_;            // split-host mode
-  std::vector<std::size_t> switch_shard_;  // switch index -> shard (parallel)
+  std::vector<std::unique_ptr<Trunk>> trunks_;
+  std::vector<std::unique_ptr<HostTap>> taps_;  // split-host mode
+  std::vector<std::size_t> switch_shard_;  // switch index -> shard
   std::vector<std::size_t> host_shard_;    // switch index -> its hosts' shard
-  std::vector<std::unique_ptr<sim::MetricRegistry>> shard_regs_;  // per shard
   bool control_channel_ = false;
   std::vector<SwitchKind> kind_;             // switch index -> tier kind
   std::vector<std::uint32_t> ctrl_ip_;       // switch index -> control addr (0 = none)
@@ -440,8 +420,6 @@ class Network {
   std::vector<std::uint32_t> host_ip_;  // global host index -> address
   std::vector<std::pair<std::uint32_t, std::uint32_t>> host_loc_;  // -> (switch, local)
   std::vector<std::vector<std::size_t>> ecmp_groups_;  // uplink fan-outs (trunk indices)
-  sim::Histogram* hops_ = nullptr;       // registry-owned (sequential mode)
-  std::vector<sim::Histogram*> shard_hops_;  // per shard id (parallel mode)
 };
 
 }  // namespace adcp::topo

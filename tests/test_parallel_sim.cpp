@@ -276,6 +276,68 @@ TEST(ParallelEquivalence, LeafSpineIncastMatchesMonolithic) {
   }
 }
 
+// --- lossy trunks under PDES ----------------------------------------------
+
+/// TopoNetwork.LossyTrunksConservePackets' fabric on the sharded engine.
+/// Every trunk direction draws its own loss stream and every shard cut is a
+/// mailbox, so drops, deliveries and snapshot bytes are a function of the
+/// topology and seed alone — never of the worker count. The pins fix that
+/// function, so a change to the per-direction streams or the mailbox order
+/// shows here even when every worker count agrees.
+constexpr std::uint64_t kLossyShardedEvents = 3528;
+constexpr sim::Time kLossyShardedNow = 4'102'000;
+constexpr std::uint64_t kLossyShardedHash = 8'554'819'715'187'304'078ull;
+
+RunResult run_leaf_spine_lossy_parallel(unsigned threads) {
+  sim::ParallelSimulator psim(threads);
+  topo::LeafSpineParams p;
+  p.leaves = 2;
+  p.spines = 2;
+  p.hosts_per_leaf = 4;
+  p.trunk_link.loss_rate = 0.2;
+  topo::Network net(psim, p);
+  auto hosts = rack_hosts(net);
+  workload::RackIncastParams inc;
+  inc.sink = 6;
+  inc.senders = 7;
+  inc.packets_per_sender = 32;
+  workload::start_rack_incast(hosts, inc, 0);
+  RunResult r;
+  r.events = psim.run();
+  net.finalize_metrics();
+  r.now = psim.now();
+  r.hash = fnv1a(net.merged_snapshot().to_json("pin"));
+  r.rx = net.total_host_rx_packets();
+  EXPECT_GT(net.total_trunk_drops(), 0u) << "threads=" << threads;
+  EXPECT_EQ(net.total_host_tx_packets(),
+            r.rx + net.total_trunk_drops() + net.total_host_link_drops())
+      << "threads=" << threads;
+  // The Trunk objects and the network's per-trunk accessors read the same
+  // sending-shard counters.
+  for (std::size_t i = 0; i < net.trunk_count(); ++i) {
+    for (int side : {0, 1}) {
+      EXPECT_EQ(net.trunk(i).packets(side), net.trunk_packets(i, side))
+          << "trunk=" << i << " side=" << side;
+    }
+  }
+  return r;
+}
+
+TEST(ParallelEquivalence, LossyTrunksIdenticalAcrossWorkerCounts) {
+  const RunResult one = run_leaf_spine_lossy_parallel(1);
+  ASSERT_GT(one.rx, 0u);
+  EXPECT_EQ(one.events, kLossyShardedEvents) << "events=" << one.events;
+  EXPECT_EQ(one.now, kLossyShardedNow) << "now=" << one.now;
+  EXPECT_EQ(one.hash, kLossyShardedHash) << "hash=" << one.hash;
+  for (unsigned threads : {2u, 4u}) {
+    const RunResult par = run_leaf_spine_lossy_parallel(threads);
+    EXPECT_EQ(par.events, one.events) << "threads=" << threads;
+    EXPECT_EQ(par.now, one.now) << "threads=" << threads;
+    EXPECT_EQ(par.hash, one.hash) << "threads=" << threads;
+    EXPECT_EQ(par.rx, one.rx) << "threads=" << threads;
+  }
+}
+
 // --- the acceptance pin: fat_tree(4) rack-allreduce -----------------------
 
 RunResult run_fat_tree_allreduce_monolithic() {

@@ -347,21 +347,27 @@ TEST(TopoNetwork, FatTreeRoutesAcrossPodsWithFiveHops) {
 // --- determinism pin ------------------------------------------------------
 
 /// Pins the exact event count, final time, and the FNV-1a hash of the full
-/// metric snapshot of a small two-rack incast on the ADCP tier. Any change
+/// metric snapshot of a small two-rack incast on the ADCP tier, once over
+/// lossless trunks and once over 20%-lossy ones (the shared trunk loss
+/// stream and the drop pool's counters land in the snapshot). Any change
 /// to event ordering, routing, metric naming, or JSON formatting moves one
 /// of these — bump deliberately with the simulator-determinism change that
 /// caused it (see test_event_count_determinism.cpp).
 constexpr std::uint64_t kPinnedEvents = 1018;
 constexpr sim::Time kPinnedNow = 3'487'120;
 constexpr std::uint64_t kPinnedHash = 993'120'951'399'456'147ull;
+constexpr std::uint64_t kPinnedLossyEvents = 828;
+constexpr sim::Time kPinnedLossyNow = 3'477'360;
+constexpr std::uint64_t kPinnedLossyHash = 8'380'874'811'534'764'009ull;
 
 TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
-  const auto run = [] {
+  const auto run = [](double loss_rate) {
     sim::Simulator sim;
     topo::LeafSpineParams p;
     p.leaves = 2;
     p.spines = 2;
     p.hosts_per_leaf = 4;
+    p.trunk_link.loss_rate = loss_rate;
     topo::Network net(sim, p);
     auto hosts = rack_hosts(net);
     workload::RackIncastParams inc;
@@ -372,18 +378,25 @@ TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
     const std::uint64_t events = sim.run();
     net.finalize_metrics();
     const std::string json = net.metrics().snapshot().to_json("pin");
-    return std::tuple{events, sim.now(), fnv1a(json)};
+    return std::tuple{events, sim.now(), fnv1a(json), net.total_trunk_drops()};
   };
 
-  const auto [events, now, hash] = run();
-  const auto [events2, now2, hash2] = run();
+  const auto [events, now, hash, drops] = run(0.0);
+  const auto [events2, now2, hash2, drops2] = run(0.0);
   EXPECT_EQ(events, events2);
   EXPECT_EQ(now, now2);
   EXPECT_EQ(hash, hash2);
+  EXPECT_EQ(drops, 0u);
 
   EXPECT_EQ(events, kPinnedEvents) << "events=" << events;
   EXPECT_EQ(now, kPinnedNow) << "now=" << now;
   EXPECT_EQ(hash, kPinnedHash) << "hash=" << hash;
+
+  const auto [lossy_events, lossy_now, lossy_hash, lossy_drops] = run(0.2);
+  EXPECT_GT(lossy_drops, 0u);
+  EXPECT_EQ(lossy_events, kPinnedLossyEvents) << "events=" << lossy_events;
+  EXPECT_EQ(lossy_now, kPinnedLossyNow) << "now=" << lossy_now;
+  EXPECT_EQ(lossy_hash, kPinnedLossyHash) << "hash=" << lossy_hash;
 }
 
 // --- zero-allocation warm path -------------------------------------------
