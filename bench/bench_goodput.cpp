@@ -6,6 +6,7 @@
 // host-observed goodput fraction after forwarding the packets through an
 // ADCP switch (net::Host counts element bytes vs wire bytes).
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "bench_report.hpp"
@@ -31,7 +32,8 @@ double measured_goodput(std::uint32_t k) {
   cfg.port_count = 4;
   core::AdcpSwitch sw(sim, cfg);
   core::AdcpProgram prog = core::forward_program(cfg);
-  prog.parse = packet::standard_parse_graph(64);  // accept up to 64 lanes
+  prog.parse = std::make_shared<const packet::ParseGraph>(
+      packet::standard_parse_graph(64));  // accept up to 64 lanes
   sw.load_program(std::move(prog));
   net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
 

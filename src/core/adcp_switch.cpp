@@ -141,7 +141,7 @@ void AdcpSwitch::drain_central(std::uint32_t cp) {
 
 bool AdcpSwitch::enter_central(packet::Packet& pkt, std::uint32_t cp) {
   pipeline::Pipeline& central = central_pipes_[cp];
-  if (hop::Slot* s = fast_probe(pkt, cp)) {
+  if (hop::Slot* s = fast_probe(pkt)) {
     const pipeline::Transit tr = replay(central, s->timing);
     spans_.span(sim::SpanKind::kCentral, s->pkt.meta.trace_id, sim_->now(), tr.exit, cp);
     sim_->at(tr.exit, [this, s] { route_to_egress(take_patched(s)); });

@@ -22,20 +22,6 @@
 
 namespace adcp::core {
 
-/// Snapshot view of the switch counters (registry metrics are the source
-/// of truth; see AdcpSwitch::stats()).
-struct AdcpStats {
-  std::uint64_t rx_packets = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_packets = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t parse_drops = 0;
-  std::uint64_t program_drops = 0;
-  std::uint64_t no_route_drops = 0;
-  sim::Time first_tx = 0;
-  sim::Time last_tx = 0;
-};
-
 /// A simulated ADCP switch. Construct, load_program, attach a net::Fabric,
 /// drive the Simulator.
 class AdcpSwitch final : public hop::SwitchShell {
@@ -56,13 +42,6 @@ class AdcpSwitch final : public hop::SwitchShell {
   void kick_central(std::uint32_t cp);
 
   [[nodiscard]] const AdcpConfig& config() const { return config_; }
-  [[nodiscard]] AdcpStats stats() const {
-    return AdcpStats{hop_.rx_packets.value(),     hop_.rx_bytes.value(),
-                     hop_.tx_packets.value(),     hop_.tx_bytes.value(),
-                     hop_.parse_drops.value(),    hop_.program_drops.value(),
-                     hop_.no_route_drops.value(), first_tx_,
-                     last_tx_};
-  }
   tm::TrafficManager& tm1() { return *tm1_; }
   tm::TrafficManager& tm2() { return *tm2_; }
   pipeline::Pipeline& central_pipe(std::uint32_t i) { return central_pipes_.at(i); }

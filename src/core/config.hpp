@@ -13,15 +13,14 @@
 #include <cstdint>
 #include <string>
 
+#include "hop/contract.hpp"
 #include "mat/array_engine.hpp"
 #include "pipeline/stage.hpp"
 
 namespace adcp::core {
 
 /// Static shape of an ADCP switch.
-struct AdcpConfig {
-  std::uint32_t port_count = 16;
-  double port_gbps = 100.0;
+struct AdcpConfig : hop::ShellConfig {
   /// m: edge pipelines per port (paper Table 3 uses 1:2).
   std::uint32_t demux_factor = 2;
   std::uint32_t edge_stages = 12;
@@ -43,13 +42,6 @@ struct AdcpConfig {
   /// watermark gauges (telemetry); off by default so snapshots stay
   /// byte-identical to pre-telemetry builds.
   bool tm_track_watermark = false;
-  /// Flow fast-path verdict cache entries (0 disables; rounded up to a
-  /// power of two). Armed only when the installed program also provides a
-  /// fastpath contract (DESIGN.md §13).
-  std::uint32_t fastpath_entries = 0;
-  /// Emit an instant span per fast-path miss (attribution aid). Off by
-  /// default: miss spans would break the cache-on/off trace-equality gate.
-  bool fastpath_miss_spans = false;
 
   AdcpConfig() {
     // Central stages default to an array engine (§3.2); edge stages do not.

@@ -9,20 +9,16 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
-#include "fastpath/fastpath.hpp"
-#include "packet/deparser.hpp"
-#include "packet/parser.hpp"
+#include "hop/contract.hpp"
 #include "pipeline/pipeline.hpp"
 #include "tm/placement.hpp"
 #include "tm/traffic_manager.hpp"
 
 namespace adcp::core {
 
-/// Lane width of the default ADCP parse graph (and of the adcp tier
-/// template in topo::TierProfile — keep the two in sync: fast-path
-/// admission mirrors the parser's lane-budget rejection with it).
+/// Lane width of the default ADCP parse graph (fast-path admission mirrors
+/// the parser's lane-budget rejection with it).
 inline constexpr std::size_t kAdcpParseLanes = 16;
 
 /// Configures one pipeline's stages at install time.
@@ -35,15 +31,9 @@ using PipelineSetup = std::function<void(pipeline::Pipeline& pipe, std::uint32_t
 using DemuxFn = std::function<std::uint32_t(const packet::Packet&)>;
 
 /// A complete ADCP data-plane program.
-struct AdcpProgram {
-  /// ADCP parsers extract arrays (paper §3.2); 16 lanes by default.
-  packet::ParseGraph parse = packet::standard_parse_graph(kAdcpParseLanes);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+struct AdcpProgram : hop::Program {
+  /// ADCP parsers extract arrays (paper §3.2).
+  AdcpProgram() : hop::Program(kAdcpParseLanes) {}
 
   PipelineSetup setup_ingress;  ///< edge ingress pipelines
   PipelineSetup setup_central;  ///< the global partitioned area
@@ -59,10 +49,6 @@ struct AdcpProgram {
   tm::SchedulerFactory tm2_scheduler;
   /// Optional demux rule; default round-robin.
   DemuxFn demux;
-  /// What this program vouches for the flow fast path (DESIGN.md §13); a
-  /// default (route-less) contract keeps the fast path disarmed even when
-  /// AdcpConfig::fastpath_entries > 0.
-  fastpath::FastpathContract fastpath;
   /// Chooses which of the destination port's m egress sub-pipelines carries
   /// a packet (return value taken modulo m). Default: flow-id hash, which
   /// keeps each flow on one sub-pipeline and therefore in order across the

@@ -1,6 +1,9 @@
 #include "ctrl/control_plane.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/adcp_switch.hpp"
 #include "ctrl/programs.hpp"
@@ -15,49 +18,52 @@ ControlPlane::ControlPlane(ControlPlaneConfig config, topo::Network& net)
          "build the fabric with params.control_channel = true");
 }
 
+namespace {
+
+/// Misuse of attach is refused loudly: a silent return would leave a switch
+/// unequipped (or equipped with a program that points at a freed store).
+[[noreturn]] void refuse(std::size_t i, const char* why) {
+  std::fprintf(stderr, "ControlPlane::attach(%zu): %s\n", i, why);
+  std::abort();
+}
+
+}  // namespace
+
 void ControlPlane::attach(std::size_t i) {
-  assert(!stores_.contains(i) && "switch already attached");
+  if (stores_.contains(i)) refuse(i, "switch already attached");
   const topo::SwitchKind kind = net_->kind_of(i);
+  if (kind == topo::SwitchKind::kRtc) {
+    refuse(i, "churn programs target the pipelined tiers (RMT/ADCP), not RTC");
+  }
+  if (net_->sketch_of(i) != nullptr) {
+    refuse(i, "the churn program would replace the heavy-hitter sketch's program");
+  }
   net::SwitchDevice& device = net_->device(i);
   const auto tmpl = net_->template_of(kind, device.port_count());
   const bool share = net_->profile().share_templates && tmpl != nullptr;
 
   // The store registers under the switch's own scope ("topo.sw<i>.ctrl.*"
   // — the shard registry in parallel mode), so merged snapshots carry the
-  // same names as the sequential build.
+  // same names as the sequential build. `replicas` divides the capacity
+  // among the copies the model must keep.
   sim::Scope scope = net_->switch_scope(i).scope("ctrl");
   std::shared_ptr<topo::ForwardingTable> fib = net_->fib_of(i);
-
-  switch (kind) {
-    case topo::SwitchKind::kRmt: {
-      auto& sw = static_cast<rmt::RmtSwitch&>(device);
-      const std::size_t per_pipe = std::max<std::size_t>(
-          1, config_.store_capacity / sw.config().pipeline_count);
-      auto store = std::make_unique<mat::VersionedStore>(per_pipe, scope);
-      rmt::RmtProgram prog = rmt_churn_program(sw.config(), fib, store.get());
-      if (share) {
-        prog.shared_parse = tmpl->parse;
-        prog.shared_deparse = tmpl->deparse;
-      }
-      sw.load_program(std::move(prog));
-      stores_.emplace(i, std::move(store));
-      break;
+  const auto load = [&](auto& sw, std::size_t replicas) {
+    auto store = std::make_unique<mat::VersionedStore>(
+        std::max<std::size_t>(1, config_.store_capacity / replicas), scope);
+    auto prog = churn_program(sw.config(), fib, store.get());
+    if (share) {
+      prog.parse = tmpl->parse;
+      prog.deparse = tmpl->deparse;
     }
-    case topo::SwitchKind::kAdcp: {
-      auto& sw = static_cast<core::AdcpSwitch&>(device);
-      auto store = std::make_unique<mat::VersionedStore>(config_.store_capacity, scope);
-      core::AdcpProgram prog = adcp_churn_program(sw.config(), fib, store.get());
-      if (share) {
-        prog.shared_parse = tmpl->parse;
-        prog.shared_deparse = tmpl->deparse;
-      }
-      sw.load_program(std::move(prog));
-      stores_.emplace(i, std::move(store));
-      break;
-    }
-    case topo::SwitchKind::kRtc:
-      assert(false && "churn programs target the pipelined tiers (RMT/ADCP)");
-      return;
+    sw.load_program(std::move(prog));
+    return store;
+  };
+  if (kind == topo::SwitchKind::kRmt) {
+    auto& sw = static_cast<rmt::RmtSwitch&>(device);
+    stores_.emplace(i, load(sw, sw.config().pipeline_count));
+  } else {
+    stores_.emplace(i, load(static_cast<core::AdcpSwitch&>(device), 1));
   }
 
   // Management-port sink: stage each update packet as it lands; a commit

@@ -38,8 +38,12 @@ class ControlPlane {
   ControlPlane(ControlPlaneConfig config, topo::Network& net);
 
   /// Equips switch `i` (must have a management port; RMT or ADCP tier).
+  /// Aborts with a message when `i` is already attached, is an RTC switch,
+  /// or runs the heavy-hitter sketch (telemetry.sketch), whose program the
+  /// churn program would silently replace.
   void attach(std::size_t switch_index);
-  /// Equips every switch that has a management port.
+  /// Equips every switch that has a management port (aborts, as attach
+  /// does, on any of them already attached).
   void attach_all();
 
   [[nodiscard]] mat::VersionedStore& store_of(std::size_t switch_index) {

@@ -47,9 +47,9 @@ std::uint64_t run_churn(Phv& phv, const ForwardingTable& fib,
 
 }  // namespace
 
-rmt::RmtProgram rmt_churn_program(const rmt::RmtConfig& /*config*/,
-                                  std::shared_ptr<const topo::ForwardingTable> fib,
-                                  mat::VersionedStore* store) {
+rmt::RmtProgram churn_program(const rmt::RmtConfig& /*config*/,
+                              std::shared_ptr<const topo::ForwardingTable> fib,
+                              mat::VersionedStore* store) {
   rmt::RmtProgram prog;
   prog.setup_ingress = [fib, store](pipeline::Pipeline& pipe, std::uint32_t) {
     pipe.set_stage_program(0, [fib, store](Phv& phv, pipeline::Stage&) -> std::uint64_t {
@@ -64,9 +64,9 @@ rmt::RmtProgram rmt_churn_program(const rmt::RmtConfig& /*config*/,
   return prog;
 }
 
-core::AdcpProgram adcp_churn_program(const core::AdcpConfig& config,
-                                     std::shared_ptr<const topo::ForwardingTable> fib,
-                                     mat::VersionedStore* store) {
+core::AdcpProgram churn_program(const core::AdcpConfig& config,
+                                std::shared_ptr<const topo::ForwardingTable> fib,
+                                mat::VersionedStore* store) {
   core::AdcpProgram prog;
   prog.placement = tm::placement::by_flow_hash(config.central_pipeline_count);
   prog.setup_central = [fib, store](pipeline::Pipeline& pipe, std::uint32_t) {

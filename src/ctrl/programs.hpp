@@ -37,15 +37,15 @@ namespace adcp::ctrl {
 /// RMT: query dispatch + routing in stage 0 of every ingress pipeline, all
 /// pipelines sharing `store` (per-pipeline replication is charged to the
 /// store's capacity by the caller). `store` must outlive the switch.
-rmt::RmtProgram rmt_churn_program(const rmt::RmtConfig& config,
-                                  std::shared_ptr<const topo::ForwardingTable> fib,
-                                  mat::VersionedStore* store);
+rmt::RmtProgram churn_program(const rmt::RmtConfig& config,
+                              std::shared_ptr<const topo::ForwardingTable> fib,
+                              mat::VersionedStore* store);
 
 /// ADCP: query dispatch + routing in stage 0 of every central pipeline
 /// against the one global store (flow-hash placement, like the builder's
 /// routing program).
-core::AdcpProgram adcp_churn_program(const core::AdcpConfig& config,
-                                     std::shared_ptr<const topo::ForwardingTable> fib,
-                                     mat::VersionedStore* store);
+core::AdcpProgram churn_program(const core::AdcpConfig& config,
+                                std::shared_ptr<const topo::ForwardingTable> fib,
+                                mat::VersionedStore* store);
 
 }  // namespace adcp::ctrl

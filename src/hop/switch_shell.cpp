@@ -18,36 +18,29 @@ bool is_inc(const packet::Phv& phv) {
 }
 }  // namespace
 
-SwitchShell::SwitchShell(sim::Simulator& sim, const sim::Scope& scope,
-                         std::string_view fallback, std::uint32_t port_count,
-                         double port_gbps, std::uint32_t fastpath_entries,
-                         bool fastpath_miss_spans)
+SwitchShell::SwitchShell(sim::Simulator& sim, const ShellConfig& config,
+                         const sim::Scope& scope, std::string_view fallback)
     : sim_(&sim),
       scope_(sim::resolve_scope(scope, own_metrics_, fallback)),
       hop_(scope_),
       spans_(scope_.span_recorder()),
       pool_(4096, scope_.scope("pool")),
-      port_count_(port_count),
-      port_gbps_(port_gbps),
-      fastpath_entries_(fastpath_entries),
-      fastpath_miss_spans_(fastpath_miss_spans) {
-  rx_free_.assign(port_count, 0);
-  tx_free_.assign(port_count, 0);
-  rx_lanes_.resize(port_count);
-  tx_lanes_.resize(port_count);
-  in_flight_.assign(port_count, 0);
+      port_count_(config.port_count),
+      port_gbps_(config.port_gbps),
+      fastpath_entries_(config.fastpath_entries) {
+  rx_free_.assign(port_count_, 0);
+  tx_free_.assign(port_count_, 0);
+  rx_lanes_.resize(port_count_);
+  tx_lanes_.resize(port_count_);
+  in_flight_.assign(port_count_, 0);
 }
 
-void SwitchShell::install(packet::ParseGraph parse, packet::Deparser deparse,
-                          std::shared_ptr<const packet::ParseGraph> shared_parse,
-                          std::shared_ptr<const packet::Deparser> shared_deparse,
-                          fastpath::FastpathContract contract) {
-  parse_graph_ = shared_parse ? std::move(shared_parse)
-                              : std::make_shared<const packet::ParseGraph>(std::move(parse));
+void SwitchShell::install(Program& program) {
+  assert(program.parse && program.deparse && "a program carries both graphs");
+  parse_graph_ = std::move(program.parse);
   parser_.emplace(parse_graph_.get());
-  deparser_ = shared_deparse ? std::move(shared_deparse)
-                             : std::make_shared<const packet::Deparser>(std::move(deparse));
-  contract_ = std::move(contract);
+  deparser_ = std::move(program.deparse);
+  contract_ = std::move(program.fastpath);
   fast_.reset();
   edge_sites_ = {};
   if (fastpath_entries_ > 0 && contract_.valid()) fast_.emplace(fastpath_entries_);
@@ -193,7 +186,7 @@ bool SwitchShell::is_query(const fastpath::WireView& w) const {
          w.opcode == static_cast<std::uint8_t>(packet::IncOpcode::kChurnQuery);
 }
 
-Slot* SwitchShell::fast_probe(packet::Packet& pkt, std::uint64_t miss_arg) {
+Slot* SwitchShell::fast_probe(packet::Packet& pkt) {
   if (!fast_) return nullptr;
   fast_->sync(contract_);
   fastpath::WireView w;
@@ -202,12 +195,7 @@ Slot* SwitchShell::fast_probe(packet::Packet& pkt, std::uint64_t miss_arg) {
   if (pkt.meta.recirc_request) return nullptr;
   const bool query = is_query(w);
   const fastpath::FlowCache::Entry* e = fast_->probe(w, pkt.meta.ingress_port, query);
-  if (e == nullptr) {
-    if (fastpath_miss_spans_) {
-      spans_.instant(sim::SpanKind::kFastpathMiss, pkt.meta.trace_id, sim_->now(), miss_arg);
-    }
-    return nullptr;
-  }
+  if (e == nullptr) return nullptr;
   Slot* slot = acquire();
   slot->patch = fastpath::Patch::kForward;
   slot->egress = e->forward_port;
@@ -275,6 +263,14 @@ packet::Packet SwitchShell::take_patched(Slot* slot) {
   if (slot->egress != packet::kInvalidPort) out.meta.egress_port = slot->egress;
   release(slot);
   return out;
+}
+
+HopStats SwitchShell::stats() const {
+  return {hop_.rx_packets.value(),     hop_.rx_bytes.value(),
+          hop_.tx_packets.value(),     hop_.tx_bytes.value(),
+          hop_.parse_drops.value(),    hop_.program_drops.value(),
+          hop_.no_route_drops.value(), first_tx_,
+          last_tx_};
 }
 
 double SwitchShell::achieved_tx_gbps() const {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fastpath/fastpath.hpp"
+#include "hop/contract.hpp"
 #include "net/device.hpp"
 #include "packet/deparser.hpp"
 #include "packet/parser.hpp"
@@ -51,6 +52,20 @@ struct HopMetrics {
   sim::Counter& parse_drops;
   sim::Counter& program_drops;
   sim::Counter& no_route_drops;
+};
+
+/// Snapshot of the hop counters (the registry is the source of truth) and
+/// the TX interval; RmtStats and RtcStats extend it with their own.
+struct HopStats {
+  std::uint64_t rx_packets = 0;
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t tx_packets = 0;
+  std::uint64_t tx_bytes = 0;
+  std::uint64_t parse_drops = 0;
+  std::uint64_t program_drops = 0;
+  std::uint64_t no_route_drops = 0;
+  sim::Time first_tx = 0;
+  sim::Time last_tx = 0;
 };
 
 /// Per-packet state parked between a pipeline (or processor) entry and its
@@ -95,7 +110,7 @@ class SwitchShell : public net::SwitchDevice {
   [[nodiscard]] sim::MetricRegistry& metrics() { return *scope_.registry(); }
   [[nodiscard]] const sim::Scope& metric_scope() const { return scope_; }
   /// The installed parse graph / deparser. Shared (use_count > 1) when the
-  /// program came from a topo::SwitchTemplate; owned otherwise.
+  /// program's graphs came from a topo::SwitchTemplate.
   [[nodiscard]] const std::shared_ptr<const packet::ParseGraph>& parse_graph() const {
     return parse_graph_;
   }
@@ -106,6 +121,7 @@ class SwitchShell : public net::SwitchDevice {
   /// retired originals and drops all flow through it).
   packet::Pool& pool() { return pool_; }
 
+  [[nodiscard]] HopStats stats() const;
   /// Achieved egress throughput over the interval [first_tx, last_tx].
   [[nodiscard]] double achieved_tx_gbps() const;
 
@@ -123,23 +139,15 @@ class SwitchShell : public net::SwitchDevice {
 
   /// `scope` names the switch in a shared registry; detached falls back to
   /// a private registry under `fallback` (the model's own name).
-  template <class Config>
-  SwitchShell(sim::Simulator& sim, const Config& config, const sim::Scope& scope,
-              std::string_view fallback)
-      : SwitchShell(sim, scope, fallback, config.port_count, config.port_gbps,
-                    config.fastpath_entries, config.fastpath_miss_spans) {}
+  SwitchShell(sim::Simulator& sim, const ShellConfig& config, const sim::Scope& scope,
+              std::string_view fallback);
 
-  /// Installs the program parts every model shares: the shared-or-owned
-  /// parse graph and deparser, and the fast-path contract. Re-arms the fast
-  /// path from scratch: load_program may be called again over a programmed
-  /// switch (ControlPlane::attach does), and any memoized verdict belongs
-  /// to the replaced program.
-  template <class Program>
-  void install(Program& program) {
-    install(std::move(program.parse), std::move(program.deparse),
-            std::move(program.shared_parse), std::move(program.shared_deparse),
-            std::move(program.fastpath));
-  }
+  /// Installs the program parts every model shares (moved out of
+  /// `program`): the parse graph, the deparser and the fast-path contract.
+  /// Re-arms the fast path from scratch: load_program may be called again
+  /// over a programmed switch (ControlPlane::attach does), and any memoized
+  /// verdict belongs to the replaced program.
+  void install(Program& program);
 
   /// Called when a packet's last bit has landed on RX (ingress_port set).
   virtual void on_rx(packet::Packet pkt) = 0;
@@ -181,8 +189,8 @@ class SwitchShell : public net::SwitchDevice {
   /// Fast-path verdict site: on a cache hit parks `pkt` in a slot carrying
   /// the memoized timing and the verdict (store-dependent behavior runs
   /// live, here, at the event the slow path would run it). nullptr leaves
-  /// `pkt` to the slow path; a miss records kFastpathMiss with `miss_arg`.
-  Slot* fast_probe(packet::Packet& pkt, std::uint64_t miss_arg);
+  /// `pkt` to the slow path.
+  Slot* fast_probe(packet::Packet& pkt);
   /// Static edge passthrough: once `edge` has a measured timing template, a
   /// guard-passing packet replays it through `pipe` (into `tr`) and is
   /// parked in a slot; nullptr leaves `pkt` to the slow path.
@@ -219,13 +227,6 @@ class SwitchShell : public net::SwitchDevice {
   sim::Time last_tx_ = 0;
 
  private:
-  SwitchShell(sim::Simulator& sim, const sim::Scope& scope, std::string_view fallback,
-              std::uint32_t port_count, double port_gbps, std::uint32_t fastpath_entries,
-              bool fastpath_miss_spans);
-  void install(packet::ParseGraph parse, packet::Deparser deparse,
-               std::shared_ptr<const packet::ParseGraph> shared_parse,
-               std::shared_ptr<const packet::Deparser> shared_deparse,
-               fastpath::FastpathContract contract);
   Slot* acquire();
   void release(Slot* slot);
   /// The tap's drop-site hook (a postcard, when armed).
@@ -235,7 +236,6 @@ class SwitchShell : public net::SwitchDevice {
   std::uint32_t port_count_;
   double port_gbps_;
   std::uint32_t fastpath_entries_;
-  bool fastpath_miss_spans_;
   std::optional<packet::Parser> parser_;
   std::shared_ptr<const packet::ParseGraph> parse_graph_;
   std::shared_ptr<const packet::Deparser> deparser_;

@@ -72,37 +72,43 @@ void Deparser::deparse_into(const Phv& phv, const Packet& original,
   if (phv.get_or(fields::kMetaDrop, 0) != 0) out.meta.drop = true;
 }
 
-Deparser standard_deparser() {
+std::vector<EmitOp> inc_header_ops() {
   // Assembles exactly the layout of make_inc_packet(). Length fields are
   // emitted as placeholders here; deposit via a final fix-up is handled by
   // re-deriving them from the element count field, which the pipeline
   // program is responsible for keeping equal to the array size (the
-  // standard programs in src/core do this).
+  // standard programs in src/core do this). Ops are emplaced: a pushed
+  // EmitOp temporary trips GCC's -Wmaybe-uninitialized under sanitizers.
   std::vector<EmitOp> ops;
-  ops.push_back(EmitScalar{fields::kEthDst, 6});
-  ops.push_back(EmitScalar{fields::kEthSrc, 6});
-  ops.push_back(EmitScalar{fields::kEthType, 2});
-  ops.push_back(EmitConst{0x45, 1});
-  ops.push_back(EmitScalar{fields::kIpTos, 1});
-  ops.push_back(EmitScalar{fields::kIpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitConst{0x4000, 2});
-  ops.push_back(EmitScalar{fields::kIpTtl, 1});
-  ops.push_back(EmitScalar{fields::kIpProto, 1});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{fields::kIpSrc, 4});
-  ops.push_back(EmitScalar{fields::kIpDst, 4});
-  ops.push_back(EmitScalar{fields::kUdpSrc, 2});
-  ops.push_back(EmitScalar{fields::kUdpDst, 2});
-  ops.push_back(EmitScalar{fields::kUdpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{fields::kIncOpcode, 1});
-  ops.push_back(EmitScalar{fields::kIncElemCount, 1});
-  ops.push_back(EmitScalar{fields::kIncCoflowId, 2});
-  ops.push_back(EmitScalar{fields::kIncFlowId, 4});
-  ops.push_back(EmitScalar{fields::kIncSeq, 4});
-  ops.push_back(EmitScalar{fields::kIncWorkerId, 4});
-  ops.push_back(EmitArray{{{array_fields::kIncKeys, 4}, {array_fields::kIncValues, 4}}});
+  ops.emplace_back(EmitScalar{fields::kEthDst, 6});
+  ops.emplace_back(EmitScalar{fields::kEthSrc, 6});
+  ops.emplace_back(EmitScalar{fields::kEthType, 2});
+  ops.emplace_back(EmitConst{0x45, 1});
+  ops.emplace_back(EmitScalar{fields::kIpTos, 1});
+  ops.emplace_back(EmitScalar{fields::kIpLen, 2});
+  ops.emplace_back(EmitConst{0, 2});
+  ops.emplace_back(EmitConst{0x4000, 2});
+  ops.emplace_back(EmitScalar{fields::kIpTtl, 1});
+  ops.emplace_back(EmitScalar{fields::kIpProto, 1});
+  ops.emplace_back(EmitConst{0, 2});
+  ops.emplace_back(EmitScalar{fields::kIpSrc, 4});
+  ops.emplace_back(EmitScalar{fields::kIpDst, 4});
+  ops.emplace_back(EmitScalar{fields::kUdpSrc, 2});
+  ops.emplace_back(EmitScalar{fields::kUdpDst, 2});
+  ops.emplace_back(EmitScalar{fields::kUdpLen, 2});
+  ops.emplace_back(EmitConst{0, 2});
+  ops.emplace_back(EmitScalar{fields::kIncOpcode, 1});
+  ops.emplace_back(EmitScalar{fields::kIncElemCount, 1});
+  ops.emplace_back(EmitScalar{fields::kIncCoflowId, 2});
+  ops.emplace_back(EmitScalar{fields::kIncFlowId, 4});
+  ops.emplace_back(EmitScalar{fields::kIncSeq, 4});
+  ops.emplace_back(EmitScalar{fields::kIncWorkerId, 4});
+  return ops;
+}
+
+Deparser standard_deparser() {
+  std::vector<EmitOp> ops = inc_header_ops();
+  ops.emplace_back(EmitArray{{{array_fields::kIncKeys, 4}, {array_fields::kIncValues, 4}}});
   return Deparser{std::move(ops)};
 }
 

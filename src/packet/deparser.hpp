@@ -64,7 +64,11 @@ class Deparser {
   std::vector<EmitOp> ops_;
 };
 
-/// Deparser matching `standard_parse_graph()`: Ethernet/IPv4/UDP/INC with
+/// The emit ops of the fixed Ethernet/IPv4/UDP/INC header prefix, up to
+/// (not including) the INC elements.
+std::vector<EmitOp> inc_header_ops();
+
+/// Deparser matching `standard_parse_graph()`: the INC header prefix, then
 /// key/value arrays. Length fields are recomputed from the array size.
 Deparser standard_deparser();
 

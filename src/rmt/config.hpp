@@ -13,15 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "hop/contract.hpp"
 #include "packet/packet.hpp"
 #include "pipeline/stage.hpp"
 
 namespace adcp::rmt {
 
 /// Static shape of an RMT switch (Fig. 1 of the paper).
-struct RmtConfig {
-  std::uint32_t port_count = 16;
-  double port_gbps = 100.0;
+struct RmtConfig : hop::ShellConfig {
   /// Ingress pipelines (the switch has the same number of egress pipelines).
   std::uint32_t pipeline_count = 4;
   std::uint32_t stages_per_pipeline = 12;
@@ -43,13 +42,6 @@ struct RmtConfig {
   double recirc_gbps = 100.0;
   /// Safety bound on recirculation passes before the switch drops.
   std::uint32_t max_recirculations = 16;
-  /// Flow fast-path cache entries (rounded up to a power of two); 0
-  /// disables the fast path entirely. Only armed when the installed
-  /// program also supplies a fastpath contract (DESIGN.md §13).
-  std::uint32_t fastpath_entries = 0;
-  /// Emit a kFastpathMiss span per verdict-cache miss (attribution aid;
-  /// off by default so traces stay byte-identical cache-on vs cache-off).
-  bool fastpath_miss_spans = false;
 
   [[nodiscard]] std::uint32_t ports_per_pipeline() const {
     assert(pipeline_count > 0 && port_count % pipeline_count == 0);

@@ -1,18 +1,16 @@
 // Program model for the RMT switch.
 //
-// An RMT program supplies the parse graph, the deparser, and hooks that
-// configure each pipeline's stages (tables, registers, stage programs).
+// An RMT program supplies the shared program parts (hop::Program: parse
+// graph, deparser, fast-path contract) and hooks that configure each
+// pipeline's stages (tables, registers, stage programs).
 // During processing, programs steer packets by writing intrinsic metadata
 // fields: kMetaEgressPort / kMetaMulticastGroup for forwarding, kMetaDrop,
 // and kMetaRecirc to request a recirculation pass.
 #pragma once
 
 #include <functional>
-#include <memory>
 
-#include "fastpath/fastpath.hpp"
-#include "packet/deparser.hpp"
-#include "packet/parser.hpp"
+#include "hop/contract.hpp"
 #include "pipeline/pipeline.hpp"
 
 namespace adcp::rmt {
@@ -22,21 +20,14 @@ namespace adcp::rmt {
 using PipelineSetup = std::function<void(pipeline::Pipeline& pipe, std::uint32_t index)>;
 
 /// A complete RMT data-plane program.
-struct RmtProgram {
-  /// RMT parsers deliver scalars only; standard_parse_graph(0) leaves INC
-  /// elements in the payload (the paper's scalar restriction).
-  packet::ParseGraph parse = packet::standard_parse_graph(0);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+struct RmtProgram : hop::Program {
+  /// RMT parsers deliver scalars only: the default graph extracts no INC
+  /// elements and leaves them in the payload (the paper's scalar
+  /// restriction).
+  RmtProgram() : hop::Program(0) {}
+
   PipelineSetup setup_ingress;  ///< optional; default leaves stages empty
   PipelineSetup setup_egress;   ///< optional
-  /// What this program vouches for the datapath fast path (DESIGN.md §13).
-  /// Default (no route fn) keeps the fast path disarmed.
-  fastpath::FastpathContract fastpath;
 };
 
 }  // namespace adcp::rmt

@@ -1,6 +1,7 @@
 #include "rmt/programs.hpp"
 
 #include <cassert>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,36 +94,12 @@ packet::ParseGraph scalar_unrolled_parse_graph(std::size_t elems) {
 }
 
 packet::Deparser scalar_unrolled_deparser(std::size_t elems) {
-  using packet::EmitConst;
-  using packet::EmitScalar;
-  namespace f = packet::fields;
-  std::vector<packet::EmitOp> ops;
-  ops.push_back(EmitScalar{f::kEthDst, 6});
-  ops.push_back(EmitScalar{f::kEthSrc, 6});
-  ops.push_back(EmitScalar{f::kEthType, 2});
-  ops.push_back(EmitConst{0x45, 1});
-  ops.push_back(EmitScalar{f::kIpTos, 1});
-  ops.push_back(EmitScalar{f::kIpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitConst{0x4000, 2});
-  ops.push_back(EmitScalar{f::kIpTtl, 1});
-  ops.push_back(EmitScalar{f::kIpProto, 1});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{f::kIpSrc, 4});
-  ops.push_back(EmitScalar{f::kIpDst, 4});
-  ops.push_back(EmitScalar{f::kUdpSrc, 2});
-  ops.push_back(EmitScalar{f::kUdpDst, 2});
-  ops.push_back(EmitScalar{f::kUdpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{f::kIncOpcode, 1});
-  ops.push_back(EmitScalar{f::kIncElemCount, 1});
-  ops.push_back(EmitScalar{f::kIncCoflowId, 2});
-  ops.push_back(EmitScalar{f::kIncFlowId, 4});
-  ops.push_back(EmitScalar{f::kIncSeq, 4});
-  ops.push_back(EmitScalar{f::kIncWorkerId, 4});
+  // Reuse the standard INC header prefix and replace the element arrays
+  // with a fixed-count scalar unroll.
+  std::vector<packet::EmitOp> ops = packet::inc_header_ops();
   for (std::size_t i = 0; i < elems; ++i) {
-    ops.push_back(EmitScalar{user_field(2 * i), 4});
-    ops.push_back(EmitScalar{user_field(2 * i + 1), 4});
+    ops.emplace_back(packet::EmitScalar{user_field(2 * i), 4});
+    ops.emplace_back(packet::EmitScalar{user_field(2 * i + 1), 4});
   }
   return packet::Deparser{std::move(ops)};
 }
@@ -130,8 +107,10 @@ packet::Deparser scalar_unrolled_deparser(std::size_t elems) {
 RmtProgram scalar_aggregation_program(const RmtConfig& config, const RmtAggOptions& opts) {
   assert(opts.report && "RmtAggOptions::report must be provided");
   RmtProgram prog;
-  prog.parse = scalar_unrolled_parse_graph(opts.elems_per_packet);
-  prog.deparse = scalar_unrolled_deparser(opts.elems_per_packet);
+  prog.parse = std::make_shared<const packet::ParseGraph>(
+      scalar_unrolled_parse_graph(opts.elems_per_packet));
+  prog.deparse = std::make_shared<const packet::Deparser>(
+      scalar_unrolled_deparser(opts.elems_per_packet));
 
   const std::uint32_t ports = config.port_count;
   const std::uint32_t agg_pipe = config.pipeline_of_port(opts.agg_port);

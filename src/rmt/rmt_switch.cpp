@@ -45,7 +45,7 @@ void RmtSwitch::load_program(RmtProgram program) {
 void RmtSwitch::on_rx(packet::Packet pkt) {
   const std::uint32_t pipe = config_.pipeline_of_port(pkt.meta.ingress_port);
   pipeline::Pipeline& ingress = ingress_pipes_[pipe];
-  if (hop::Slot* s = fast_probe(pkt, pkt.meta.ingress_port)) {
+  if (hop::Slot* s = fast_probe(pkt)) {
     const pipeline::Transit tr = replay(ingress, s->timing);
     spans_.span(sim::SpanKind::kIngress, s->pkt.meta.trace_id, sim_->now(), tr.exit, pipe,
                 s->pkt.meta.ingress_port);

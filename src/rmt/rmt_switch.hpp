@@ -22,21 +22,11 @@
 
 namespace adcp::rmt {
 
-/// Snapshot view of the switch counters (registry metrics are the source
-/// of truth; see RmtSwitch::stats()).
-struct RmtStats {
-  std::uint64_t rx_packets = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_packets = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t parse_drops = 0;
-  std::uint64_t program_drops = 0;
-  std::uint64_t no_route_drops = 0;
+/// The shell's counters plus the recirculation path's.
+struct RmtStats : hop::HopStats {
   std::uint64_t recirculations = 0;
   std::uint64_t recirc_bytes = 0;
   std::uint64_t recirc_limit_drops = 0;
-  sim::Time first_tx = 0;
-  sim::Time last_tx = 0;
 };
 
 /// Registry-backed counters of the recirculation path (the shared ones
@@ -67,12 +57,8 @@ class RmtSwitch final : public hop::SwitchShell {
 
   [[nodiscard]] const RmtConfig& config() const { return config_; }
   [[nodiscard]] RmtStats stats() const {
-    return RmtStats{hop_.rx_packets.value(),        hop_.rx_bytes.value(),
-                    hop_.tx_packets.value(),        hop_.tx_bytes.value(),
-                    hop_.parse_drops.value(),       hop_.program_drops.value(),
-                    hop_.no_route_drops.value(),    metrics_.recirculations.value(),
-                    metrics_.recirc_bytes.value(),  metrics_.recirc_limit_drops.value(),
-                    first_tx_,                      last_tx_};
+    return {SwitchShell::stats(), metrics_.recirculations.value(),
+            metrics_.recirc_bytes.value(), metrics_.recirc_limit_drops.value()};
   }
   [[nodiscard]] const tm::TrafficManager& traffic_manager() const { return *tm_; }
   pipeline::Pipeline& ingress_pipe(std::uint32_t i) { return ingress_pipes_.at(i); }

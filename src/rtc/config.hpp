@@ -10,14 +10,15 @@
 // processors x clock / per-packet work — with no line-rate guarantee.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#include "hop/contract.hpp"
 
 namespace adcp::rtc {
 
 /// Static shape of a run-to-completion switch.
-struct RtcConfig {
-  std::uint32_t port_count = 16;
-  double port_gbps = 100.0;
+struct RtcConfig : hop::ShellConfig {
   /// Worker processors (Trio-style packet-processing engines / BMv2
   /// threads).
   std::uint32_t processors = 16;
@@ -32,13 +33,6 @@ struct RtcConfig {
   /// Materialize the shared register/array state at construction (legacy
   /// "full" tier profile); by default it appears on first touch.
   bool eager_state = false;
-  /// Flow fast-path verdict cache entries (0 disables; rounded up to a
-  /// power of two). Armed only when the installed program also provides a
-  /// fastpath contract (DESIGN.md §13).
-  std::uint32_t fastpath_entries = 0;
-  /// Emit an instant span per fast-path miss (attribution aid). Off by
-  /// default: miss spans would break the cache-on/off trace-equality gate.
-  bool fastpath_miss_spans = false;
 
   /// Peak packet rate of the processor pool for a program costing
   /// `cycles_per_packet` (dispatch included).

@@ -57,7 +57,7 @@ void RtcSwitch::try_dispatch() {
     const auto proc = static_cast<std::uint64_t>(it - proc_free_.begin());
     // A cache hit charges the memoized cycle count instead of running the
     // program.
-    if (hop::Slot* s = fast_probe(pkt, proc)) {
+    if (hop::Slot* s = fast_probe(pkt)) {
       *it = sim_->now() + busy(s->timing.work);
       spans_.span(sim::SpanKind::kIngress, s->pkt.meta.trace_id, sim_->now(), *it, proc,
                   s->timing.work);

@@ -9,15 +9,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "fastpath/fastpath.hpp"
+#include "hop/contract.hpp"
 #include "hop/switch_shell.hpp"
 #include "mat/array_engine.hpp"
 #include "mat/register.hpp"
-#include "packet/deparser.hpp"
-#include "packet/parser.hpp"
 #include "rtc/config.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -26,9 +23,8 @@
 
 namespace adcp::rtc {
 
-/// Lane width of the default RTC parse graph (and of the rtc tier template
-/// in topo::TierProfile — keep the two in sync: fast-path admission
-/// mirrors the parser's lane-budget rejection with it).
+/// Lane width of the default RTC parse graph (fast-path admission mirrors
+/// the parser's lane-budget rejection with it).
 inline constexpr std::size_t kRtcParseLanes = 64;
 
 /// The memory every processor shares — registers for stateful programs and
@@ -50,35 +46,19 @@ struct SharedState {
 using RtcProgramFn =
     std::function<std::uint64_t(packet::Phv&, SharedState&, const RtcConfig&)>;
 
-/// A complete RTC program.
-struct RtcProgram {
-  packet::ParseGraph parse = packet::standard_parse_graph(kRtcParseLanes);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+/// A complete RTC program. Its fastpath contract may be provided only when
+/// `run`'s verdict AND cycle cost are functions of the flow signature
+/// alone.
+struct RtcProgram : hop::Program {
+  /// No pipeline lane budget binds a processor: the widest standard graph.
+  RtcProgram() : hop::Program(kRtcParseLanes) {}
+
   RtcProgramFn run;  ///< REQUIRED
-  /// What this program vouches for the flow fast path (DESIGN.md §13).
-  /// Provide it only when `run`'s verdict AND cycle cost are functions of
-  /// the flow signature alone; a default contract keeps the path disarmed.
-  fastpath::FastpathContract fastpath;
 };
 
-/// Snapshot view of the switch counters (registry metrics are the source
-/// of truth; see RtcSwitch::stats()).
-struct RtcStats {
-  std::uint64_t rx_packets = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_packets = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t parse_drops = 0;
-  std::uint64_t program_drops = 0;
-  std::uint64_t no_route_drops = 0;
+/// The shell's counters plus the dispatch queue's.
+struct RtcStats : hop::HopStats {
   std::uint64_t queue_drops = 0;  ///< dispatch queue overflow
-  sim::Time first_tx = 0;
-  sim::Time last_tx = 0;
 };
 
 /// Registry-backed RTC-specific counters (the shared ones live in
@@ -103,11 +83,7 @@ class RtcSwitch final : public hop::SwitchShell {
 
   [[nodiscard]] const RtcConfig& config() const { return config_; }
   [[nodiscard]] RtcStats stats() const {
-    return RtcStats{hop_.rx_packets.value(),     hop_.rx_bytes.value(),
-                    hop_.tx_packets.value(),     hop_.tx_bytes.value(),
-                    hop_.parse_drops.value(),    hop_.program_drops.value(),
-                    hop_.no_route_drops.value(), metrics_.queue_drops.value(),
-                    first_tx_,                   last_tx_};
+    return {SwitchShell::stats(), metrics_.queue_drops.value()};
   }
   SharedState& shared() { return shared_; }
   /// Per-packet residence time (RX done -> TX start), picoseconds.

@@ -80,7 +80,6 @@ std::string_view span_kind_name(SpanKind kind) {
     case SpanKind::kDrop: return "drop";
     case SpanKind::kPdesBusy: return "pdes.busy";
     case SpanKind::kPdesWait: return "pdes.horizon_wait";
-    case SpanKind::kFastpathMiss: return "fastpath.miss";
   }
   return "unknown";
 }

@@ -50,12 +50,7 @@ enum class SpanKind : std::uint8_t {
   kDrop,        ///< instant: packet dropped; a0 = DropReason
   kPdesBusy,    ///< PDES self-profiling: shard busy inside one round (ns)
   kPdesWait,    ///< PDES self-profiling: gap between a shard's work bursts
-  /// Instant: a datapath fast-path verdict-cache miss (a0 = ingress port).
-  /// Opt-in per switch (fastpath_miss_spans) for miss attribution; never
-  /// emitted in determinism-compared runs.
-  kFastpathMiss,
 };
-inline constexpr std::size_t kSpanKindCount = 15;
 
 [[nodiscard]] std::string_view span_kind_name(SpanKind kind);
 

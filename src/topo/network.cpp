@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "core/adcp_switch.hpp"
 #include "hop/switch_shell.hpp"
@@ -23,6 +25,12 @@ double wall_ms() {
       .count();
 }
 
+/// The switch model each resolved config builds.
+template <class Config> struct SwitchOf;
+template <> struct SwitchOf<rmt::RmtConfig> { using type = rmt::RmtSwitch; };
+template <> struct SwitchOf<core::AdcpConfig> { using type = core::AdcpSwitch; };
+template <> struct SwitchOf<rtc::RtcConfig> { using type = rtc::RtcSwitch; };
+
 /// Instantiates one switch from its tier template. `share` installs the
 /// template's parse graph / deparser by shared_ptr (the slim profile);
 /// otherwise the routing program's own copies are used (legacy full
@@ -33,39 +41,19 @@ std::unique_ptr<net::SwitchDevice> make_switch(sim::Simulator& sim,
                                                std::shared_ptr<const ForwardingTable> fib,
                                                sim::Scope scope,
                                                telem::HeavyHitterSketch* sketch) {
-  switch (tmpl.kind) {
-    case SwitchKind::kRmt: {
-      auto sw = std::make_unique<rmt::RmtSwitch>(sim, tmpl.rmt, std::move(scope));
-      rmt::RmtProgram prog = rmt_routing_program(tmpl.rmt, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
-      sw->load_program(std::move(prog));
-      return sw;
-    }
-    case SwitchKind::kAdcp: {
-      auto sw = std::make_unique<core::AdcpSwitch>(sim, tmpl.adcp, std::move(scope));
-      core::AdcpProgram prog = adcp_routing_program(tmpl.adcp, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
-      sw->load_program(std::move(prog));
-      return sw;
-    }
-    case SwitchKind::kRtc: {
-      auto sw = std::make_unique<rtc::RtcSwitch>(sim, tmpl.rtc, std::move(scope));
-      rtc::RtcProgram prog = rtc_routing_program(tmpl.rtc, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
-      sw->load_program(std::move(prog));
-      return sw;
-    }
-  }
-  return nullptr;
+  return std::visit(
+      [&](const auto& config) -> std::unique_ptr<net::SwitchDevice> {
+        using Switch = typename SwitchOf<std::decay_t<decltype(config)>>::type;
+        auto sw = std::make_unique<Switch>(sim, config, std::move(scope));
+        auto prog = routing_program(config, std::move(fib), sketch);
+        if (share) {
+          prog.parse = tmpl.parse;
+          prog.deparse = tmpl.deparse;
+        }
+        sw->load_program(std::move(prog));
+        return sw;
+      },
+      tmpl.config);
 }
 
 }  // namespace

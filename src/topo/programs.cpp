@@ -72,9 +72,9 @@ fastpath::FastpathContract routing_contract(
   return c;
 }
 
-rmt::RmtProgram rmt_routing_program(const rmt::RmtConfig& /*config*/,
-                                    std::shared_ptr<const ForwardingTable> fib,
-                                    telem::HeavyHitterSketch* sketch) {
+rmt::RmtProgram routing_program(const rmt::RmtConfig& /*config*/,
+                                std::shared_ptr<const ForwardingTable> fib,
+                                telem::HeavyHitterSketch* sketch) {
   rmt::RmtProgram prog;
   if (sketch == nullptr) {
     prog.setup_ingress = [fib](pipeline::Pipeline& pipe, std::uint32_t) {
@@ -116,9 +116,9 @@ rmt::RmtProgram rmt_routing_program(const rmt::RmtConfig& /*config*/,
   return prog;
 }
 
-core::AdcpProgram adcp_routing_program(const core::AdcpConfig& config,
-                                       std::shared_ptr<const ForwardingTable> fib,
-                                       telem::HeavyHitterSketch* sketch) {
+core::AdcpProgram routing_program(const core::AdcpConfig& config,
+                                  std::shared_ptr<const ForwardingTable> fib,
+                                  telem::HeavyHitterSketch* sketch) {
   core::AdcpProgram prog;
   prog.placement = tm::placement::by_flow_hash(config.central_pipeline_count);
   if (sketch == nullptr) {
@@ -147,9 +147,9 @@ core::AdcpProgram adcp_routing_program(const core::AdcpConfig& config,
   return prog;
 }
 
-rtc::RtcProgram rtc_routing_program(const rtc::RtcConfig& /*config*/,
-                                    std::shared_ptr<const ForwardingTable> fib,
-                                    telem::HeavyHitterSketch* sketch) {
+rtc::RtcProgram routing_program(const rtc::RtcConfig& /*config*/,
+                                std::shared_ptr<const ForwardingTable> fib,
+                                telem::HeavyHitterSketch* sketch) {
   rtc::RtcProgram prog;
   if (sketch == nullptr) {
     prog.run = [fib](Phv& phv, rtc::SharedState&, const rtc::RtcConfig& cfg) -> std::uint64_t {

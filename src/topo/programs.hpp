@@ -50,22 +50,22 @@ fastpath::FastpathContract routing_contract(const std::shared_ptr<const Forwardi
 /// RMT: route + TTL decrement in ingress stage 0 of every pipeline. With a
 /// sketch, a claim-lottery win requests kMetaRecirc and the recirculated
 /// pass performs the claim (routing again, but without a second decrement).
-rmt::RmtProgram rmt_routing_program(const rmt::RmtConfig& config,
-                                    std::shared_ptr<const ForwardingTable> fib,
-                                    telem::HeavyHitterSketch* sketch = nullptr);
+rmt::RmtProgram routing_program(const rmt::RmtConfig& config,
+                                std::shared_ptr<const ForwardingTable> fib,
+                                telem::HeavyHitterSketch* sketch = nullptr);
 
 /// ADCP: route + TTL decrement in central stage 0; flows spread over the
 /// central pipelines by flow-id hash (same placement as forward_program).
 /// With a sketch, central stage 0 also runs the single-pass update.
-core::AdcpProgram adcp_routing_program(const core::AdcpConfig& config,
-                                       std::shared_ptr<const ForwardingTable> fib,
-                                       telem::HeavyHitterSketch* sketch = nullptr);
+core::AdcpProgram routing_program(const core::AdcpConfig& config,
+                                  std::shared_ptr<const ForwardingTable> fib,
+                                  telem::HeavyHitterSketch* sketch = nullptr);
 
 /// RTC: route + TTL decrement; costs the forwarding base plus one
 /// shared-memory FIB access. With a sketch, the update charges two more
 /// shared-memory accesses (probe + write).
-rtc::RtcProgram rtc_routing_program(const rtc::RtcConfig& config,
-                                    std::shared_ptr<const ForwardingTable> fib,
-                                    telem::HeavyHitterSketch* sketch = nullptr);
+rtc::RtcProgram routing_program(const rtc::RtcConfig& config,
+                                std::shared_ptr<const ForwardingTable> fib,
+                                telem::HeavyHitterSketch* sketch = nullptr);
 
 }  // namespace adcp::topo

@@ -1,5 +1,9 @@
 #include "topo/tier_profile.hpp"
 
+#include "core/program.hpp"
+#include "rmt/program.hpp"
+#include "rtc/rtc_switch.hpp"
+
 namespace adcp::topo {
 
 TierProfile TierProfile::slim() { return TierProfile{}; }
@@ -62,26 +66,26 @@ rtc::RtcConfig TierProfile::rtc(std::uint32_t port_count) const {
 SwitchTemplate SwitchTemplate::build(const TierProfile& profile, SwitchKind kind,
                                      std::uint32_t port_count) {
   SwitchTemplate t;
-  t.kind = kind;
   t.port_count = port_count;
-  // Parse-graph lane widths match the per-model program defaults: RMT is
-  // scalar-only (the paper's restriction), ADCP extracts 16-lane arrays,
-  // RTC is unconstrained (64).
+  // Every switch of the kind shares its program's default graphs.
+  const auto adopt = [&t](const hop::Program& program) {
+    t.parse = program.parse;
+    t.deparse = program.deparse;
+  };
   switch (kind) {
     case SwitchKind::kRmt:
-      t.rmt = profile.rmt(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(0));
+      t.config = profile.rmt(port_count);
+      adopt(rmt::RmtProgram{});
       break;
     case SwitchKind::kAdcp:
-      t.adcp = profile.adcp(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(16));
+      t.config = profile.adcp(port_count);
+      adopt(core::AdcpProgram{});
       break;
     case SwitchKind::kRtc:
-      t.rtc = profile.rtc(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(64));
+      t.config = profile.rtc(port_count);
+      adopt(rtc::RtcProgram{});
       break;
   }
-  t.deparse = std::make_shared<const packet::Deparser>(packet::standard_deparser());
   return t;
 }
 

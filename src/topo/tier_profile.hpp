@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <variant>
 
 #include "core/config.hpp"
 #include "packet/deparser.hpp"
@@ -93,16 +94,14 @@ struct TierProfile {
 };
 
 /// The immutable part of a switch, built once per (kind, port_count) key
-/// and shared across every identical switch of the fabric. The config
-/// member matching `kind` is the resolved one; `parse`/`deparse` are what
-/// the tier routing programs install (shared_ptr into every switch when
-/// the profile shares templates).
+/// and shared across every identical switch of the fabric: the resolved
+/// config of the kind (the variant's alternatives follow SwitchKind) and
+/// the kind's default program graphs, which the tier routing programs
+/// install by shared_ptr into every switch when the profile shares
+/// templates.
 struct SwitchTemplate {
-  SwitchKind kind = SwitchKind::kAdcp;
   std::uint32_t port_count = 0;
-  rmt::RmtConfig rmt;
-  core::AdcpConfig adcp;
-  rtc::RtcConfig rtc;
+  std::variant<rmt::RmtConfig, core::AdcpConfig, rtc::RtcConfig> config;
   std::shared_ptr<const packet::ParseGraph> parse;
   std::shared_ptr<const packet::Deparser> deparse;
 

@@ -329,5 +329,62 @@ TEST(ControlChurn, FastpathPreservesChurnSemanticsAcrossWorkerCounts) {
   }
 }
 
+// --- misuse is refused loudly ----------------------------------------------
+
+/// A leaf-spine fabric with the control channel and switch 0 (a leaf with a
+/// management port) as the attach target.
+topo::LeafSpineParams churn_fabric(topo::SwitchKind kind) {
+  topo::LeafSpineParams p;
+  p.kind = kind;
+  p.leaves = 2;
+  p.spines = 1;
+  p.hosts_per_leaf = 2;
+  p.control_channel = true;
+  return p;
+}
+
+TEST(ControlPlaneDeathTest, DoubleAttachAborts) {
+  // A second attach would free the store the first churn program reads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        topo::Network net(sim, churn_fabric(topo::SwitchKind::kRmt));
+        ctrl::ControlPlane cp({}, net);
+        cp.attach(0);
+        cp.attach_all();
+      },
+      "already attached");
+}
+
+TEST(ControlPlaneDeathTest, RtcSwitchAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        topo::Network net(sim, churn_fabric(topo::SwitchKind::kRtc));
+        ctrl::ControlPlane cp({}, net);
+        cp.attach(0);
+      },
+      "not RTC");
+}
+
+TEST(ControlPlaneDeathTest, SketchArmedSwitchAborts) {
+  // The churn program would replace the sketch-armed routing program, and
+  // sketch_of(i) would silently stop counting.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        topo::LeafSpineParams p = churn_fabric(topo::SwitchKind::kAdcp);
+        p.profile.telemetry.armed = true;
+        p.profile.telemetry.sketch = true;
+        topo::Network net(sim, p);
+        ctrl::ControlPlane cp({}, net);
+        cp.attach(0);
+      },
+      "heavy-hitter sketch");
+}
+
 }  // namespace
 }  // namespace adcp

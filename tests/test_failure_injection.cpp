@@ -3,6 +3,8 @@
 // the event loop.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/adcp_switch.hpp"
 #include "core/programs.hpp"
 #include "net/host.hpp"
@@ -64,7 +66,8 @@ TEST(FailureInjection, ElementCountBeyondLaneBudgetRejected) {
   cfg.port_count = 4;
   core::AdcpSwitch sw(sim, cfg);
   core::AdcpProgram prog = core::forward_program(cfg);
-  prog.parse = packet::standard_parse_graph(8);  // 8-lane parser
+  prog.parse = std::make_shared<const packet::ParseGraph>(
+      packet::standard_parse_graph(8));  // 8-lane parser
   sw.load_program(std::move(prog));
   net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
 

@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/adcp_switch.hpp"
 #include "core/programs.hpp"
+#include "hop/switch_shell.hpp"
 #include "net/host.hpp"
 #include "packet/headers.hpp"
 #include "rmt/programs.hpp"
 #include "rmt/rmt_switch.hpp"
+#include "rtc/programs.hpp"
+#include "rtc/rtc_switch.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tm/placement.hpp"
@@ -72,6 +76,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TmConservation, ::testing::Values(1, 2, 3, 7, 42
 
 class SwitchConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// SwitchShell::stats() is a view of the registry: every shared counter
+/// must read the same through both (the switch reports detached, under its
+/// model's own scope name).
+void expect_stats_match_registry(hop::SwitchShell& sw) {
+  const hop::HopStats st = sw.stats();
+  const sim::Snapshot snap = sw.metrics().snapshot();
+  const std::string& prefix = sw.metric_scope().prefix();
+  const auto counter = [&](const char* name) {
+    const sim::Snapshot::Entry* e = snap.find(prefix + "." + name);
+    EXPECT_NE(e, nullptr) << prefix << "." << name;
+    return e == nullptr ? ~std::uint64_t{0} : e->count;
+  };
+  EXPECT_EQ(st.rx_packets, counter("rx.packets"));
+  EXPECT_EQ(st.rx_bytes, counter("rx.bytes"));
+  EXPECT_EQ(st.tx_packets, counter("tx.packets"));
+  EXPECT_EQ(st.tx_bytes, counter("tx.bytes"));
+  EXPECT_EQ(st.parse_drops, counter("drops.parse"));
+  EXPECT_EQ(st.program_drops, counter("drops.program"));
+  EXPECT_EQ(st.no_route_drops, counter("drops.no_route"));
+}
+
 TEST_P(SwitchConservation, RmtAccountsEveryPacket) {
   sim::Rng rng(GetParam());
   sim::Simulator sim;
@@ -104,6 +129,7 @@ TEST_P(SwitchConservation, RmtAccountsEveryPacket) {
   // was dropped by the TM. Nothing is resident after run() completes.
   EXPECT_EQ(st.rx_packets, st.tx_packets + st.parse_drops + st.program_drops +
                                st.no_route_drops + st.recirc_limit_drops + tm_drops);
+  expect_stats_match_registry(sw);
 }
 
 TEST_P(SwitchConservation, AdcpAccountsEveryPacket) {
@@ -129,11 +155,46 @@ TEST_P(SwitchConservation, AdcpAccountsEveryPacket) {
   }
   sim.run();
 
-  const core::AdcpStats& st = sw.stats();
+  const hop::HopStats& st = sw.stats();
   const std::uint64_t tm_drops = sw.tm1().stats().dropped + sw.tm2().stats().dropped;
   EXPECT_EQ(st.rx_packets, kPackets);
   EXPECT_EQ(st.rx_packets, st.tx_packets + st.parse_drops + st.program_drops +
                                st.no_route_drops + tm_drops);
+  expect_stats_match_registry(sw);
+}
+
+TEST_P(SwitchConservation, RtcAccountsEveryPacket) {
+  sim::Rng rng(GetParam());
+  sim::Simulator sim;
+  rtc::RtcConfig cfg;
+  cfg.port_count = 8;
+  cfg.processors = 1;               // one slow processor under incast...
+  cfg.dispatch_queue_packets = 16;  // ...and a short queue: drops occur
+  rtc::RtcSwitch sw(sim, cfg);
+  sw.load_program(rtc::forward_program(cfg));
+  net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
+
+  constexpr std::uint64_t kPackets = 400;
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    packet::IncPacketSpec spec;
+    const auto dice = rng.uniform(0, 9);
+    spec.ip_dst = dice < 7 ? 0x0a000000
+                           : (dice == 9 ? 0x0a0000c8
+                                        : 0x0a000000 | rng.uniform(1, 7));
+    spec.inc.flow_id = rng.uniform(1, 5);
+    spec.pad_to = 300;
+    fabric.host(static_cast<std::size_t>(rng.uniform(0, 7))).send_inc(spec);
+  }
+  sim.run();
+
+  const rtc::RtcStats st = sw.stats();
+  const hop::HopStats& hop = st;  // the shared part, as every model reports it
+  EXPECT_EQ(hop.rx_packets, kPackets);
+  EXPECT_GT(st.queue_drops, 0u);
+  EXPECT_GT(hop.program_drops, 0u);  // the unroutable host
+  EXPECT_EQ(hop.rx_packets, hop.tx_packets + hop.parse_drops + hop.program_drops +
+                                hop.no_route_drops + st.queue_drops);
+  expect_stats_match_registry(sw);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SwitchConservation, ::testing::Values(11, 22, 33));
