@@ -348,8 +348,9 @@ TEST(TopoNetwork, FatTreeRoutesAcrossPodsWithFiveHops) {
 
 /// Pins the exact event count, final time, and the FNV-1a hash of the full
 /// metric snapshot of a small two-rack incast on the ADCP tier, once over
-/// lossless trunks and once over 20%-lossy ones (the shared trunk loss
-/// stream and the drop pool's counters land in the snapshot). Any change
+/// lossless trunks, once over 20%-lossy ones (the shared trunk loss stream
+/// and the drop pool's counters land in the snapshot) and once over
+/// 20%-lossy access links (the fabric's shared host stream). Any change
 /// to event ordering, routing, metric naming, or JSON formatting moves one
 /// of these — bump deliberately with the simulator-determinism change that
 /// caused it (see test_event_count_determinism.cpp).
@@ -359,15 +360,19 @@ constexpr std::uint64_t kPinnedHash = 993'120'951'399'456'147ull;
 constexpr std::uint64_t kPinnedLossyEvents = 828;
 constexpr sim::Time kPinnedLossyNow = 3'477'360;
 constexpr std::uint64_t kPinnedLossyHash = 8'380'874'811'534'764'009ull;
+constexpr std::uint64_t kPinnedLossyHostEvents = 644;
+constexpr sim::Time kPinnedLossyHostNow = 3'379'760;
+constexpr std::uint64_t kPinnedLossyHostHash = 3'888'236'790'988'215'232ull;
 
 TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
-  const auto run = [](double loss_rate) {
+  const auto run = [](double loss_rate, double host_loss_rate = 0.0) {
     sim::Simulator sim;
     topo::LeafSpineParams p;
     p.leaves = 2;
     p.spines = 2;
     p.hosts_per_leaf = 4;
     p.trunk_link.loss_rate = loss_rate;
+    p.host_link.loss_rate = host_loss_rate;
     topo::Network net(sim, p);
     auto hosts = rack_hosts(net);
     workload::RackIncastParams inc;
@@ -378,7 +383,8 @@ TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
     const std::uint64_t events = sim.run();
     net.finalize_metrics();
     const std::string json = net.metrics().snapshot().to_json("pin");
-    return std::tuple{events, sim.now(), fnv1a(json), net.total_trunk_drops()};
+    return std::tuple{events, sim.now(), fnv1a(json),
+                      net.total_trunk_drops() + net.total_host_link_drops()};
   };
 
   const auto [events, now, hash, drops] = run(0.0);
@@ -397,6 +403,12 @@ TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
   EXPECT_EQ(lossy_events, kPinnedLossyEvents) << "events=" << lossy_events;
   EXPECT_EQ(lossy_now, kPinnedLossyNow) << "now=" << lossy_now;
   EXPECT_EQ(lossy_hash, kPinnedLossyHash) << "hash=" << lossy_hash;
+
+  const auto [host_events, host_now, host_hash, host_drops] = run(0.0, 0.2);
+  EXPECT_GT(host_drops, 0u);
+  EXPECT_EQ(host_events, kPinnedLossyHostEvents) << "events=" << host_events;
+  EXPECT_EQ(host_now, kPinnedLossyHostNow) << "now=" << host_now;
+  EXPECT_EQ(host_hash, kPinnedLossyHostHash) << "hash=" << host_hash;
 }
 
 // --- zero-allocation warm path -------------------------------------------
