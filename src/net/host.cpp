@@ -15,20 +15,11 @@ sim::Time Host::send(packet::Packet pkt, sim::Time earliest) {
               pkt.size());
 
   // The switch sees the first bit after propagation — unless the link
-  // lottery eats the packet.
+  // lottery eats the packet. device_ and port_ never change after
+  // construction, so the delivery may run on the switch's shard.
   const sim::Time arrival = start + link_.propagation;
-  if (rng_ != nullptr && link_.loss_rate > 0.0 && rng_->chance(link_.loss_rate)) {
-    metrics_.link_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, arrival,
-                   static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (pool_ != nullptr) pool_->release(std::move(pkt));
-    return arrival;
-  }
-  if (uplink_) {
-    uplink_(arrival, std::move(pkt));
-    return arrival;
-  }
-  sim_->at(nic_lane_, arrival, [this, pkt = std::move(pkt)]() mutable {
+  if (up_.lose(pkt, arrival)) return arrival;
+  up_.deliver(arrival, [this, pkt = std::move(pkt)]() mutable {
     device_->inject(port_, std::move(pkt));
   });
   return arrival;
@@ -47,24 +38,12 @@ sim::Time Host::send_inc(const packet::IncPacketSpec& spec, sim::Time earliest) 
 }
 
 void Host::deliver_from_switch(packet::Packet pkt) {
-  if (downlink_) {
-    // Sharded fabric: the caller is on the switch's shard. The downlink
-    // owner runs the lottery with its own stream and mails finish_rx to
-    // this host's shard — nothing of the Host may be touched here.
-    downlink_(std::move(pkt));
-    return;
-  }
-  if (rng_ != nullptr && link_.loss_rate > 0.0 && rng_->chance(link_.loss_rate)) {
-    metrics_.link_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim_->now(),
-                   static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (pool_ != nullptr) pool_->release(std::move(pkt));
-    return;
-  }
+  const sim::Time now = down_.sim->now();
+  if (down_.lose(pkt, now)) return;
   // Span begin rides in the packet (the [this, pkt] capture below fills the
   // inline callback budget exactly; one more captured word would spill).
-  pkt.meta.trace_mark = sim_->now();
-  sim_->after(downlink_lane_, link_.propagation, [this, pkt = std::move(pkt)]() mutable {
+  pkt.meta.trace_mark = now;
+  down_.deliver(now + link_.propagation, [this, pkt = std::move(pkt)]() mutable {
     finish_rx(std::move(pkt));
   });
 }

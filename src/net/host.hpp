@@ -29,8 +29,7 @@ struct HostMetrics {
         rx_bytes(s.counter("rx.bytes")),
         rx_goodput_bytes(s.counter("rx.goodput_bytes")),
         rx_reordered(s.counter("rx.reordered")),
-        rx_ecn_marked(s.counter("rx.ecn_marked")),
-        link_drops(s.counter("drops.link")) {}
+        rx_ecn_marked(s.counter("rx.ecn_marked")) {}
 
   sim::Counter& tx_packets;
   sim::Counter& tx_bytes;
@@ -39,7 +38,6 @@ struct HostMetrics {
   sim::Counter& rx_goodput_bytes;
   sim::Counter& rx_reordered;
   sim::Counter& rx_ecn_marked;
-  sim::Counter& link_drops;
 };
 
 /// A server attached to one switch port. Sends packets paced at its link
@@ -49,22 +47,20 @@ class Host {
  public:
   /// Optional application hook invoked on every received packet.
   using RxCallback = std::function<void(Host&, const packet::Packet&)>;
-  /// Transport hook for sharded fabrics: carries a paced packet towards the
-  /// switch (first-bit arrival time, packet). See set_uplink().
-  using UplinkFn = std::function<void(sim::Time, packet::Packet)>;
-  /// Transport hook for sharded fabrics: takes over switch->host delivery.
-  using DownlinkFn = std::function<void(packet::Packet)>;
 
   /// `pool`, when given, recycles delivered/lost packets and feeds
   /// send_inc(), making steady-state host traffic allocation-free.
   /// `scope` names this host in a shared MetricRegistry (the Fabric passes
-  /// "net.host<i>"); detached falls back to a private registry.
+  /// "net.host<i>"); detached falls back to a private registry. Both wires
+  /// start on `sim`, drawing losses from `rng` (null = lossless) and
+  /// counting them under the host's "drops.link".
   Host(coflow::HostId id, packet::PortId port, Link link, sim::Simulator& sim,
        SwitchDevice& device, sim::Rng* rng = nullptr, packet::Pool* pool = nullptr,
        sim::Scope scope = {})
-      : id_(id), port_(port), link_(link), sim_(&sim), device_(&device), rng_(rng),
-        pool_(pool), scope_(sim::resolve_scope(scope, own_metrics_, "host")),
-        metrics_(scope_), spans_(scope_.span_recorder()) {}
+      : id_(id), port_(port), link_(link), sim_(&sim), device_(&device), pool_(pool),
+        scope_(sim::resolve_scope(scope, own_metrics_, "host")), metrics_(scope_),
+        spans_(scope_.span_recorder()), up_(sim, scope_, rng, link.loss_rate, pool, nullptr),
+        down_(sim, scope_, rng, link.loss_rate, pool, nullptr) {}
 
   /// Queues `pkt` for transmission no earlier than `earliest`; the NIC
   /// serializes packets back to back at the link rate. Returns the time the
@@ -74,25 +70,18 @@ class Host {
   /// Convenience: builds an INC packet from `spec` and sends it.
   sim::Time send_inc(const packet::IncPacketSpec& spec, sim::Time earliest = 0);
 
-  /// Called by the fabric when the switch finished transmitting to us;
-  /// accounts the packet after propagation delay. With a downlink hook
-  /// installed the packet is handed to it untouched instead (the hook's
-  /// owner runs the loss lottery and schedules finish_rx on this host's
-  /// shard; this call may then run on the switch's thread).
+  /// Called by the fabric when the switch finished transmitting to us, on
+  /// the downlink wire's clock (the switch's shard when a sharded fabric
+  /// rewired it): runs the downlink lottery and delivers to finish_rx after
+  /// the propagation delay. Touches only the downlink wire and the fields
+  /// fixed at construction.
   void deliver_from_switch(packet::Packet pkt);
 
-  /// Receive-side accounting, run at delivery time on this host's own
-  /// simulator (the propagation-delayed tail of deliver_from_switch; the
-  /// span begin rides in pkt.meta.trace_mark). Public so a sharded
-  /// fabric's downlink mailbox can invoke it directly.
-  void finish_rx(packet::Packet pkt);
-
-  /// Reroutes send() handoff: instead of scheduling the switch inject on
-  /// this host's simulator, paced packets go to `fn` (which pushes them
-  /// into a cross-shard mailbox). Pass nullptr to restore direct inject.
-  void set_uplink(UplinkFn fn) { uplink_ = std::move(fn); }
-  /// Reroutes deliver_from_switch() to `fn` (see deliver_from_switch).
-  void set_downlink(DownlinkFn fn) { downlink_ = std::move(fn); }
+  /// The host->switch and switch->host directions of the access link. A
+  /// sharded fabric rewires them before the run: the uplink gets a mailbox
+  /// to the switch's shard, the downlink becomes a switch-shard wire.
+  Wire& uplink() { return up_; }
+  Wire& downlink() { return down_; }
 
   /// Clears per-run transient state (NIC pacing horizon, last-RX time and
   /// the per-flow highest-sequence map) so repeated runs inside one process
@@ -138,30 +127,32 @@ class Host {
   /// Packets delivered with the IP ECN field marked CE (congestion).
   [[nodiscard]] std::uint64_t rx_ecn_marked() const { return metrics_.rx_ecn_marked.value(); }
   /// Packets lost on this host's links (either direction).
-  [[nodiscard]] std::uint64_t link_drops() const { return metrics_.link_drops.value(); }
+  [[nodiscard]] std::uint64_t link_drops() const { return net::link_drops(up_, down_); }
   [[nodiscard]] sim::Time last_rx_time() const { return last_rx_; }
 
  private:
+  /// Receive-side accounting, run at delivery time on this host's own
+  /// simulator (the propagation-delayed tail of deliver_from_switch; the
+  /// span begin rides in pkt.meta.trace_mark).
+  void finish_rx(packet::Packet pkt);
+
   coflow::HostId id_;
   packet::PortId port_;
   Link link_;
   sim::Simulator* sim_;
   SwitchDevice* device_;
-  sim::Rng* rng_;  // not owned; shared by the fabric (null = lossless)
   packet::Pool* pool_ = nullptr;  // not owned; shared by the fabric
   std::vector<RxCallback> rx_callbacks_;
   coflow::CoflowTracker* tracker_ = nullptr;
-  UplinkFn uplink_;      // sharded fabrics: host shard -> switch shard
-  DownlinkFn downlink_;  // sharded fabrics: switch shard -> host shard
 
   sim::Time nic_free_ = 0;
-  sim::Lane nic_lane_;       // host -> switch: first bits arrive in send order
-  sim::Lane downlink_lane_;  // switch -> host: deliveries land in TX order
   // Declared before scope_/metrics_ (fallback registry must exist first).
   std::unique_ptr<sim::MetricRegistry> own_metrics_;
   sim::Scope scope_;
   HostMetrics metrics_;
   sim::SpanRecorder spans_;
+  Wire up_;    // host -> switch
+  Wire down_;  // switch -> host
   const sim::TraceSampler* sampler_ = nullptr;  // not owned; null = no stamping
   sim::Time last_rx_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> highest_seq_;  // flow -> seq

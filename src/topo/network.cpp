@@ -79,7 +79,7 @@ Network::Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope sc
 
 Network::Network(sim::ParallelSimulator& psim, const LeafSpineParams& params)
     : psim_(&psim), profile_(params.profile),
-      split_hosts_(params.host_shards_per_switch > 0 && params.host_link.propagation > 0),
+      split_hosts_(params.host_link.propagation > 0),
       scope_(sim::resolve_scope({}, own_metrics_, "topo")) {
   begin_build(params.trace, params.loss_seed);
   build_leaf_spine(params);
@@ -88,7 +88,7 @@ Network::Network(sim::ParallelSimulator& psim, const LeafSpineParams& params)
 
 Network::Network(sim::ParallelSimulator& psim, const FatTreeParams& params)
     : psim_(&psim), profile_(params.profile),
-      split_hosts_(params.host_shards_per_switch > 0 && params.host_link.propagation > 0),
+      split_hosts_(params.host_link.propagation > 0),
       scope_(sim::resolve_scope({}, own_metrics_, "topo")) {
   begin_build(params.trace, params.loss_seed);
   build_fat_tree(params);
@@ -228,8 +228,8 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   slot.device =
       make_switch(*sw_shard.sim, tmpl, profile_.share_templates, fib, sw_scope, sketch);
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
-  // closure still runs on the switch shard but only routes — per-host
-  // state is reached through the mailbox taps wired in finish_wiring().
+  // closure still runs on the switch shard but only routes — the hosts'
+  // downlink wires are moved to the switch shard in finish_wiring().
   slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, host_link,
                                               loss_seed, host_scope, host_count);
   slot.fib = std::move(fib);
@@ -269,26 +269,6 @@ std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t
                                             Trunk::End{switches_[b].device.get(), b_port, b},
                                             link, from_a, from_b));
   return i;
-}
-
-void Network::HostTap::deliver(packet::Packet pkt) {
-  // Runs on the switch shard (the device's TX completion). Mirrors
-  // Host::deliver_from_switch's lossy tail with a per-host stream; drops
-  // are counted here under the host's metric name so the merged snapshot
-  // still sums host-side and switch-side drops into one "drops.link".
-  if (link.loss_rate > 0.0 && rng.chance(link.loss_rate)) {
-    drops->add();
-    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sw_sim->now(),
-                  static_cast<std::uint64_t>(sim::DropReason::kLink));
-    return;  // no pool release: the fabric pool lives on the host shard
-  }
-  // Span begin rides in the packet; [h, pkt] fills the inline callback
-  // budget exactly (as in Host::deliver_from_switch).
-  pkt.meta.trace_mark = sw_sim->now();
-  net::Host* h = host;
-  down->push(sw_sim->now() + link.propagation, [h, pkt = std::move(pkt)]() mutable {
-    h->finish_rx(std::move(pkt));
-  });
 }
 
 void Network::build_leaf_spine(const LeafSpineParams& p) {
@@ -467,21 +447,20 @@ void Network::finish_wiring() {
     });
   }
 
-  // Split hosts: install the cross-shard taps. Every hosted switch gets
-  // one mailbox pair (up: host shard -> switch shard, down: the reverse)
-  // whose conservative latency is the access link's propagation delay; the
-  // per-host taps share them. The tap RNG streams are seeded by global
-  // host index, fixed by the topology — deterministic for any thread
-  // count (but, like lossy trunks, a different stream than the sequential
-  // fabric's shared one).
+  // Split hosts: every hosted switch gets one mailbox pair (up: host shard
+  // -> switch shard, down: the reverse) whose conservative latency is the
+  // access link's propagation delay. Each uplink keeps the host-shard wire
+  // the fabric built and mails its deliveries; each downlink becomes a
+  // switch-shard wire that counts under the host's metric name (the merged
+  // snapshot still sums both directions into one "drops.link"), recycles
+  // nothing (the fabric pool lives on the host shard) and draws from a
+  // stream seeded by global host index — fixed by the topology, so
+  // deterministic for any thread count.
   if (split_hosts_) {
     std::size_t g = 0;  // global host index (host_loc_ creation order)
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
-      if (hosts.empty() || host_shard_[i] == switch_shard_[i]) {
-        g += hosts.size();
-        continue;
-      }
+      if (hosts.empty()) continue;
       const net::Link access = hosts.front().link();
       sim::Mailbox& up =
           psim_->add_mailbox(host_shard_[i], switch_shard_[i], access.propagation);
@@ -489,28 +468,12 @@ void Network::finish_wiring() {
           psim_->add_mailbox(switch_shard_[i], host_shard_[i], access.propagation);
       const sim::Scope sw_side = switch_scope(i);
       for (net::Host& h : hosts) {
-        auto tap = std::make_unique<HostTap>();
-        tap->host = &h;
-        tap->device = switches_[i].device.get();
-        tap->port = h.port();
-        tap->link = access;
-        tap->sw_sim = shards_[switch_shard_[i]].sim;
-        tap->up = &up;
-        tap->down = &down;
-        tap->rng = sim::Rng(
-            tm::placement::mix(loss_seed_base_ ^ (0xd011'0000ULL + g)));
-        sim::Scope hs = sw_side.scope("host" + std::to_string(h.port()));
-        tap->drops = &hs.counter("drops.link");
-        tap->spans = hs.span_recorder();
-        HostTap* t = tap.get();
-        h.set_uplink([t](sim::Time at, packet::Packet pkt) {
-          t->up->push(at, [t, pkt = std::move(pkt)]() mutable {
-            t->device->inject(t->port, std::move(pkt));
-          });
-        });
-        h.set_downlink([t](packet::Packet pkt) { t->deliver(std::move(pkt)); });
-        taps_.push_back(std::move(tap));
-        ++g;
+        h.uplink().mailbox = &up;
+        sim::Rng& rng =
+            streams_.emplace_back(tm::placement::mix(loss_seed_base_ ^ (0xd011'0000ULL + g++)));
+        h.downlink() = net::Wire(*shards_[switch_shard_[i]].sim,
+                                 sw_side.scope("host" + std::to_string(h.port())), &rng,
+                                 access.loss_rate, nullptr, &down);
       }
     }
   }
@@ -711,9 +674,6 @@ std::uint64_t Network::total_host_link_drops() const {
   for (const SwitchSlot& slot : switches_) {
     for (net::Host& h : slot.fabric->hosts()) total += h.link_drops();
   }
-  // Split hosts: downlink losses are counted switch-side by the taps
-  // (under the same per-host metric name), not in Host::metrics_.
-  for (const auto& tap : taps_) total += tap->drops->value();
   return total;
 }
 

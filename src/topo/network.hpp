@@ -62,13 +62,6 @@ struct LeafSpineParams {
   /// network arms every registry's SpanBuffer and stamps sampled flows at
   /// the sending hosts; read the result through span_buffers().
   sim::TraceConfig trace{};
-  /// Parallel mode only: put each hosted switch's servers on their own
-  /// shard (1, the default) instead of riding along with the switch (0).
-  /// Host event load dominates incast scenarios, so splitting it off is
-  /// what lets the partitioner balance workers. Requires host_link
-  /// propagation > 0 (the cross-shard lookahead); falls back to ride-along
-  /// otherwise.
-  std::uint32_t host_shards_per_switch = 1;
   /// Gives every *hosted* switch an in-band control channel: one extra
   /// management port (id = the switch's old port count) and a control
   /// address make_ip(pod, tor, 255) routed to it by an exact FIB entry, so
@@ -90,8 +83,6 @@ struct FatTreeParams {
   std::uint64_t loss_seed = 0xfab21c;
   /// Span tracing (off by default; see LeafSpineParams::trace).
   sim::TraceConfig trace{};
-  /// See LeafSpineParams::host_shards_per_switch.
-  std::uint32_t host_shards_per_switch = 1;
   /// See LeafSpineParams::control_channel (edge switches only).
   bool control_channel = false;
 };
@@ -105,20 +96,23 @@ class Network {
   Network(sim::Simulator& sim, const LeafSpineParams& params, sim::Scope scope = {});
   Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope scope = {});
 
-  /// Sharded construction for conservative-parallel runs: every switch and its
-  /// attached hosts get a private shard (Simulator + MetricRegistry + packet
-  /// pool) on `psim`, and each trunk direction delivers through a cross-shard
-  /// mailbox whose latency is the trunk's propagation delay (the conservative
-  /// lookahead). The sequential constructors build the same fabric on one
-  /// borrowed shard: the caller's Simulator and scope. Drive the run with
-  /// psim.run(); read results through
-  /// merged_snapshot()/merged_hops()/finalize_metrics(), which reproduce the
-  /// sequential path's metric names and (for lossless trunks) bit-identical
-  /// values — same final time, same snapshot bytes; only the executed-event
-  /// count may differ from the monolithic build by a few coalesced idle-wakes
-  /// (see ParallelSimulator::run). Lossy trunks stay deterministic for any
-  /// worker count but draw from per-direction RNG streams, so their drop
-  /// patterns differ from the sequential shared-stream ones.
+  /// Sharded construction for conservative-parallel runs: every switch gets
+  /// a private shard (Simulator + MetricRegistry) on `psim`, and so do its
+  /// hosts and their packet pool whenever the access link's propagation
+  /// delay is nonzero (it is the cut's lookahead; host events dominate
+  /// incast scenarios, so splitting them off lets the partitioner balance
+  /// workers). Each link direction that crosses a cut delivers through a
+  /// mailbox whose latency is the link's propagation delay. The sequential
+  /// constructors build the same fabric on one borrowed shard: the caller's
+  /// Simulator and scope. Drive the run with psim.run(); read results
+  /// through merged_snapshot()/merged_hops()/finalize_metrics(), which
+  /// reproduce the sequential path's metric names and (for lossless links)
+  /// bit-identical values — same final time, same snapshot bytes; only the
+  /// executed-event count may differ from the monolithic build by a few
+  /// coalesced idle-wakes (see ParallelSimulator::run). Lossy links stay
+  /// deterministic for any worker count, but cut trunk directions and split
+  /// downlinks draw from private RNG streams, so their drop patterns differ
+  /// from the sequential shared-stream ones.
   Network(sim::ParallelSimulator& psim, const LeafSpineParams& params);
   Network(sim::ParallelSimulator& psim, const FatTreeParams& params);
 
@@ -323,29 +317,6 @@ class Network {
     std::unique_ptr<sim::MetricRegistry> registry;  // parallel mode only
   };
 
-  /// The switch-shard side of one host's access link when the hosts live
-  /// on their own shard: runs the downlink loss lottery with a private
-  /// per-host stream (drops counted in the switch shard's registry under
-  /// the host's metric name, so the merged snapshot still sums to one
-  /// "drops.link"), then mails Host::finish_rx across the cut. Also the
-  /// stable {device, port} the uplink mailbox injects through — the pair
-  /// is captured by pointer so the per-packet callback stays inside the
-  /// inline budget.
-  struct HostTap {
-    net::Host* host = nullptr;            // finish_rx target (host shard)
-    net::SwitchDevice* device = nullptr;  // uplink inject target (switch shard)
-    packet::PortId port = 0;
-    net::Link link;
-    sim::Simulator* sw_sim = nullptr;  // downlink producer clock
-    sim::Mailbox* up = nullptr;        // host shard -> switch shard
-    sim::Mailbox* down = nullptr;      // switch shard -> host shard
-    sim::Rng rng{0};                   // downlink loss lottery
-    sim::Counter* drops = nullptr;     // switch-shard registry
-    sim::SpanRecorder spans;           // switch-shard buffer
-
-    void deliver(packet::Packet pkt);
-  };
-
   /// Bracket the constructor body: snapshot the state-accounting counters
   /// and the wall clock and take the trace and loss-seed parameters; then
   /// wire the fabric (finish_wiring) and fill construction_ with the deltas.
@@ -392,18 +363,19 @@ class Network {
   std::uint64_t build_reserved0_ = 0;  // StateAccounting at begin_build()
   std::uint64_t build_touched0_ = 0;
   bool split_hosts_ = false;          // hosts on their own shards (parallel)
-  std::uint64_t loss_seed_base_ = 0;  // seeds every trunk loss stream
+  std::uint64_t loss_seed_base_ = 0;  // seeds trunk and split-downlink streams
   sim::TraceConfig trace_cfg_{};
   sim::TraceSampler sampler_;  // stable address: hosts keep a pointer
   // Declared before scope_, which may register through it.
   std::unique_ptr<sim::MetricRegistry> own_metrics_;
   sim::Scope scope_;
   sim::Rng trunk_rng_{0};          // shared by trunks inside one shard
-  std::deque<sim::Rng> streams_;   // one per direction of a cut trunk
+  /// Cut trunk directions' and split downlinks' loss streams, apart from
+  /// the wires so two shards never write one cache line.
+  std::deque<sim::Rng> streams_;
   std::vector<Shard> shards_;
   std::vector<SwitchSlot> switches_;
   std::vector<std::unique_ptr<Trunk>> trunks_;
-  std::vector<std::unique_ptr<HostTap>> taps_;  // split-host mode
   std::vector<std::size_t> switch_shard_;  // switch index -> shard
   std::vector<std::size_t> host_shard_;    // switch index -> its hosts' shard
   bool control_channel_ = false;

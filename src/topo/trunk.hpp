@@ -4,13 +4,12 @@
 // both directions. The sending switch already paid the serialization delay
 // at its port rate when it handed the packet to its TxHandler, so the
 // trunk only adds the Link's propagation delay and (optionally) its loss
-// lottery — exactly mirroring what net::Host models on the host side of an
-// edge port. Each direction belongs to its sending end: it counts, draws
-// and records on the sender's clock and registry, then delivers through a
-// local FIFO lane when both ends share a simulator, or through a
-// cross-shard mailbox when a shard cut runs between them (sim/parallel.hpp).
-// Dropped packets recycle into a packet::Pool so the warm forwarding path
-// stays allocation-free.
+// lottery. Each direction is a net::Wire — the same type a net::Host's
+// access link uses — owned by its sending end: it draws and records on the
+// sender's clock and registry, then delivers through a local FIFO lane or
+// a cross-shard mailbox. The trunk adds only the far end and the
+// per-direction packet/byte counters. Dropped packets recycle into a
+// packet::Pool so the warm forwarding path stays allocation-free.
 #pragma once
 
 #include <array>
@@ -19,14 +18,7 @@
 
 #include "net/device.hpp"
 #include "net/link.hpp"
-#include "packet/pool.hpp"
 #include "sim/metrics.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
-
-namespace adcp::sim {
-class Mailbox;
-}
 
 namespace adcp::topo {
 
@@ -75,8 +67,7 @@ class Trunk {
   [[nodiscard]] std::uint64_t packets(int side) const { return halves_[side].packets->value(); }
   [[nodiscard]] std::uint64_t bytes(int side) const { return halves_[side].bytes->value(); }
   [[nodiscard]] std::uint64_t drops() const {
-    const std::uint64_t ab = halves_[0].drops->value();
-    return halves_[1].drops == halves_[0].drops ? ab : ab + halves_[1].drops->value();
+    return net::link_drops(halves_[0].wire, halves_[1].wire);
   }
 
   /// Fraction of the link's capacity used by `side`'s traffic over
@@ -91,18 +82,12 @@ class Trunk {
   /// One direction, living on its sending end's simulator.
   struct Half {
     End to;
-    sim::Simulator* sim = nullptr;
-    sim::Rng* rng = nullptr;            // not owned
-    packet::Pool* drop_pool = nullptr;  // not owned
     sim::Counter* packets = nullptr;
     sim::Counter* bytes = nullptr;
-    sim::Counter* drops = nullptr;
-    sim::SpanRecorder spans;
-    sim::Lane lane;                     // local delivery: arrivals in send order
-    sim::Mailbox* mailbox = nullptr;    // cross-shard delivery
+    net::Wire wire;
   };
 
-  static void wire(Half& h, End to, const Sender& from, const char* dir);
+  void attach(Half& h, End to, const Sender& from, const char* dir);
 
   net::Link link_;
   std::array<Half, 2> halves_;  // [0] = ab, [1] = ba

@@ -1,10 +1,15 @@
 // Unit tests for links, hosts, and the fabric against a loopback device.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/device.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "packet/headers.hpp"
+#include "packet/pool.hpp"
+#include "sim/metrics.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace adcp::net {
@@ -49,6 +54,42 @@ packet::Packet inc_pkt(std::uint32_t flow, std::uint32_t seq, std::size_t elems 
 TEST(Link, SerializeUsesRate) {
   const Link l{10.0, 0};
   EXPECT_EQ(l.serialize(125), 100'000u);  // 1000 bits at 10 Gbps = 100 ns
+}
+
+TEST(Wire, DeliversThroughItsLaneInSendOrder) {
+  sim::Simulator sim;
+  sim::MetricRegistry reg;
+  sim::Rng rng(7);
+  // A stream with a zero loss rate never draws: the lottery is skipped.
+  Wire w(sim, reg.scope("w"), &rng, 0.0, nullptr, nullptr);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    packet::Packet pkt = inc_pkt(1, static_cast<std::uint32_t>(i));
+    EXPECT_FALSE(w.lose(pkt, 0));
+    w.deliver(100 + static_cast<sim::Time>(i), [&order, i] { order.push_back(i); });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 102u);
+  EXPECT_EQ(reg.counter("w.drops.link").value(), 0u);
+  EXPECT_EQ(rng.uniform01(), sim::Rng(7).uniform01());
+}
+
+TEST(Wire, LostPacketIsCountedAndRecycled) {
+  sim::Simulator sim;
+  sim::MetricRegistry reg;
+  sim::Rng rng(7);
+  packet::Pool pool;
+  Wire w(sim, reg.scope("w"), &rng, 1.0, &pool, nullptr);
+  packet::Packet pkt = inc_pkt(1, 0);
+  EXPECT_TRUE(w.lose(pkt, 5));
+  EXPECT_EQ(reg.counter("w.drops.link").value(), 1u);
+  EXPECT_EQ(pool.stats().released, 1u);
+  // Without a stream the same rate is lossless.
+  Wire lossless(sim, reg.scope("v"), nullptr, 1.0, &pool, nullptr);
+  packet::Packet kept = inc_pkt(1, 1);
+  EXPECT_FALSE(lossless.lose(kept, 5));
+  EXPECT_GT(kept.size(), 0u);
 }
 
 TEST(Host, SendPacesAtNicRate) {
