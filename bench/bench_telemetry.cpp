@@ -156,15 +156,6 @@ void start_incast(topo::Network& net, const WorkloadShape& w) {
   }
 }
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 struct CellResult {
   std::uint64_t events = 0;
   double wall_ms = 0;
@@ -208,7 +199,7 @@ CellResult run_once(const Params& p0, Mode mode, const WorkloadShape& w) {
   net.finalize_metrics();
   r.ns_per_op = r.events > 0 ? r.wall_ms * 1e6 / static_cast<double>(r.events) : 0.0;
   r.now = sim.now();
-  r.hash = fnv1a(net.merged_snapshot().to_json("telem"));
+  r.hash = bench::fnv1a(net.merged_snapshot().to_json("telem"));
   r.tx = net.total_host_tx_packets();
   r.rx = net.total_host_rx_packets();
 
@@ -307,7 +298,7 @@ std::pair<sim::Time, std::uint64_t> run_parallel_pin(Params p, Mode mode,
   start_incast(net, w);
   psim.run();
   net.finalize_metrics();
-  return {psim.now(), fnv1a(net.merged_snapshot().to_json("telem"))};
+  return {psim.now(), bench::fnv1a(net.merged_snapshot().to_json("telem"))};
 }
 
 /// The off.match gate: default-profile vs tweaked-knobs disarmed builds
@@ -321,7 +312,7 @@ bool off_byte_equal(Params p, const WorkloadShape& w, const CellResult& baseline
   sim.run();
   net.finalize_metrics();
   return sim.now() == baseline.now &&
-         fnv1a(net.merged_snapshot().to_json("telem")) == baseline.hash;
+         bench::fnv1a(net.merged_snapshot().to_json("telem")) == baseline.hash;
 }
 
 void export_cell(sim::Scope s, const CellResult& r, Mode mode) {

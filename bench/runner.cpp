@@ -1,74 +1,66 @@
-// Multi-threaded benchmark runner (E10 companion).
-//
-// Fans benchmark scenarios × seeds across worker threads — each simulation
-// stays single-threaded and deterministic; only *independent runs* execute
-// concurrently — and emits a machine-readable JSON report (ns/op and
-// events/sec) so before/after numbers can be committed and diffed
-// (see BENCH_kernel.json and DESIGN.md "Simulator performance").
+// The benchmark runner: every fabric scenario and sweep in one binary, one
+// adcp-metrics-v1 report per invocation (see bench_report.hpp, DESIGN.md
+// "Simulator performance" and EXPERIMENTS.md E10, E18-E24).
 //
 // Usage:
-//   bench_runner [--quick] [--scenario NAME] [--threads N] [--repeat N]
-//                [--tier-profile full|slim] [--out FILE] [--trace-out FILE]
+//   bench_runner [--quick] [--scenario NAME] [--threads N[,N...]] [--repeat N]
+//                [--scale S[,S...]] [--tier-profile full|slim]
+//                [--out FILE] [--trace-out FILE]
 //
-// --out FILE writes the JSON report; without it the runner prints its
-// results and writes no file (so a run from the repository root never
-// overwrites a committed BENCH_*.json).
+// Modes, with the report each writes:
+//   (default)                    [kernel] the timed scenarios event_kernel,
+//       rmt_all_to_all, adcp_all_to_all, parser_loop, tm_loop, leaf_spine,
+//       control_churn and parallel_fabric: all of them, or the one named by
+//       --scenario. (scenario, seed) jobs fan across --threads worker
+//       threads; each simulation stays single-threaded and deterministic,
+//       except that parallel_fabric runs its sharded engine with --threads
+//       workers. Reports ns/op and ops/sec per scenario.
+//   --scenario rack_coflows      [leaf_spine] E18: RMT vs ADCP tiers.
+//   --scale S1,S2,...            [parallel] E19-E22: monolithic vs sharded
+//       (also --scenario parallel_scaling, which defaults to leaf_spine).
+//   --scenario control_grid      [control] E23: arch x poll x shift grid.
+//   --scenario datapath_fastpath [datapath] E24: flow cache off vs on.
+// Each sweep's function below documents its cells and its gates.
 //
-// --tier-profile selects the topo::TierProfile used by the fabric
-// scenarios (leaf_spine, parallel_fabric): "slim" (default) builds
-// switches with shared templates + first-touch state, "full" forces the
-// legacy eager build. The sweep mode additionally emits a
-// construction.{build_ms,bytes_reserved,bytes_touched,templates_built,
-// templates_shared,rss_bytes} series in BENCH_parallel.json.
-//
-// --trace-out runs one extra (untimed) leaf-spine incast with packet-span
-// tracing armed on every flow and writes the Chrome trace-event JSON to
-// FILE (open in ui.perfetto.dev).
-//
-// Scenarios: event_kernel, rmt_all_to_all, adcp_all_to_all, parser_loop,
-// tm_loop, leaf_spine, control_churn, parallel_fabric (default: all).
-// --scenario datapath_fastpath is special: it sweeps the per-switch flow
-// cache on/off across {leaf_spine, fat_tree_4} x {steady incast, control
-// churn}, self-verifies cache-on == cache-off byte equality (snapshots and
-// span traces), and writes BENCH_datapath.json.
-//
-// --threads serves double duty: it sizes the job fan-out AND is passed
-// through to scenarios, so parallel_fabric runs its sharded engine with
-// that worker count (bench-smoke exercises threads=1 and threads=4). A
-// comma list (--threads 1,2,4,8) instead selects the sweep mode: the
-// parallel_fabric scenario runs serially once per worker count and one
-// BENCH_parallel.json carries the per-thread-count series
-// (parallel_fabric.t<N>.*) — the CI scaling artifact. A scenario that
-// detects a broken invariant marks its sample failed, and the runner
-// exits nonzero naming it.
+// --out FILE writes the report; without it the runner prints its results
+// and writes no file (so a run from the repository root never overwrites a
+// committed BENCH_*.json). A report or trace that cannot be written fails
+// the run (exit 1), as does a broken invariant in any scenario or sweep;
+// bad flags exit 2. --scale, --trace-out and a comma list in --threads
+// belong to the parallel sweep only. --tier-profile selects the
+// topo::TierProfile every fabric is built with: "slim" (default) shares
+// templates and materializes state on first touch, "full" forces the
+// legacy eager build.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
-#ifdef __linux__
-#include <unistd.h>
-#endif
 
 #include "bench_report.hpp"
+#include "coflow/tracker.hpp"
 #include "core/adcp_switch.hpp"
 #include "core/programs.hpp"
+#include "ctrl/agent.hpp"
+#include "ctrl/control_plane.hpp"
 #include "net/host.hpp"
 #include "packet/headers.hpp"
 #include "packet/parser.hpp"
 #include "rmt/programs.hpp"
 #include "rmt/rmt_switch.hpp"
 #include "sim/metrics.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "tm/traffic_manager.hpp"
-#include "ctrl/agent.hpp"
-#include "ctrl/control_plane.hpp"
 #include "topo/network.hpp"
 #include "workload/churn.hpp"
 #include "workload/rack_coflow.hpp"
@@ -80,35 +72,254 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   bool quick = false;
-  std::string scenario;  // empty = all
-  unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  std::string scenario;  // empty = every timed scenario
+  std::vector<unsigned> threads{std::max(1u, std::thread::hardware_concurrency())};
   unsigned repeat = 3;
-  std::string out;  // empty (no --out): print the results, write no file
+  std::vector<std::string> scales;  // the parallel sweep's fabrics
+  std::string out;        // empty (no --out): print the results, write no file
   std::string trace_out;  // empty = no trace capture
 };
 
-/// The tier profile every fabric scenario builds with. Scenario functions
-/// share a fixed signature, so the --tier-profile flag lands here once at
-/// startup (before any worker thread runs) instead of threading through
-/// every ScenarioFn.
+/// The tier profile every fabric builds with. Scenario functions share a
+/// fixed signature, so the --tier-profile flag lands here once at startup
+/// (before any worker thread runs) instead of threading through every
+/// ScenarioFn.
 topo::TierProfile g_profile{};
 
-/// Resident set size right now (bytes); 0 where /proc is unavailable.
-std::uint64_t rss_bytes_now() {
-#ifdef __linux__
-  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
-    unsigned long long total = 0;
-    unsigned long long resident = 0;
-    const int n = std::fscanf(f, "%llu %llu", &total, &resident);
-    std::fclose(f);
-    if (n == 2) {
-      return static_cast<std::uint64_t>(resident) *
-             static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
-    }
-  }
-#endif
-  return 0;
+double now_ns(Clock::time_point t0) {
+  return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
 }
+
+// --- fabric cells ------------------------------------------------------------
+
+/// The fabrics every scenario and sweep builds. Both parameter structs
+/// share their field names, so `edit` tunes either one.
+using Fabric = std::variant<topo::LeafSpineParams, topo::FatTreeParams>;
+
+Fabric leaf_spine(std::uint32_t leaves, std::uint32_t spines, std::uint32_t hosts_per_leaf) {
+  topo::LeafSpineParams p;
+  p.leaves = leaves;
+  p.spines = spines;
+  p.hosts_per_leaf = hosts_per_leaf;
+  p.profile = g_profile;
+  return p;
+}
+
+Fabric fat_tree(std::uint32_t k) {
+  topo::FatTreeParams p;
+  p.k = k;
+  p.profile = g_profile;
+  return p;
+}
+
+template <typename Fn>
+Fabric edit(Fabric f, Fn fn) {
+  std::visit(fn, f);
+  return f;
+}
+
+/// The parallel sweep's --scale fabrics; nullopt for an unknown name.
+std::optional<Fabric> scale_fabric(const std::string& name) {
+  if (name == "leaf_spine") return leaf_spine(4, 2, 16);
+  // Thousands of hosts: 32 racks x 64 hosts = 2048 hosts behind 16
+  // spines, 80 shards once hosts split off.
+  if (name == "leaf_spine_2k") return leaf_spine(32, 16, 64);
+  if (name == "fat_tree_4") return fat_tree(4);
+  if (name == "fat_tree_8") return fat_tree(8);
+  return std::nullopt;
+}
+
+/// One fabric on one engine, the unit every scenario and sweep runs:
+/// `threads == 0` builds it on a monolithic sim::Simulator, otherwise
+/// sharded on a sim::ParallelSimulator(threads).
+class Cell {
+ public:
+  Cell(const Fabric& fabric, unsigned threads) {
+    if (threads > 0) {
+      par_ = std::make_unique<sim::ParallelSimulator>(threads);
+    } else {
+      mono_ = std::make_unique<sim::Simulator>();
+    }
+    std::visit(
+        [this](const auto& p) {
+          net_ = par_ ? std::make_unique<topo::Network>(*par_, p)
+                      : std::make_unique<topo::Network>(*mono_, p);
+        },
+        fabric);
+  }
+
+  topo::Network& net() { return *net_; }
+  sim::ParallelSimulator* par() { return par_.get(); }
+  sim::Time now() const { return par_ ? par_->now() : mono_->now(); }
+  std::uint64_t run() { return par_ ? par_->run() : mono_->run(); }
+
+  std::vector<workload::RackHost> hosts() {
+    std::vector<workload::RackHost> hosts;
+    hosts.reserve(net_->host_count());
+    for (std::size_t i = 0; i < net_->host_count(); ++i) {
+      hosts.push_back({&net_->host(i), net_->ip_of(i)});
+    }
+    return hosts;
+  }
+
+  /// Every packet a host sent was received or dropped on a link.
+  bool conserved() const {
+    return net_->total_host_tx_packets() == net_->total_host_rx_packets() +
+                                                net_->total_host_link_drops() +
+                                                net_->total_trunk_drops();
+  }
+
+ private:
+  std::unique_ptr<sim::Simulator> mono_;
+  std::unique_ptr<sim::ParallelSimulator> par_;
+  std::unique_ptr<topo::Network> net_;  // last: destroyed before its engine
+};
+
+/// One cross-rack incast round: every host but a rotating sink sends `pps`
+/// packets to it under per-round flow ids, starting now (registered with
+/// `tracker` when given). Runs to quiescence and readies the hosts for
+/// the next round; returns the events executed.
+std::uint64_t incast_round(Cell& c, std::uint32_t round, std::uint32_t pps,
+                           coflow::CoflowTracker* tracker = nullptr) {
+  std::vector<workload::RackHost> hosts = c.hosts();
+  workload::RackIncastParams inc;
+  inc.sink = round % static_cast<std::uint32_t>(hosts.size());
+  inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
+  inc.packets_per_sender = pps;
+  inc.flow_base = 70'000 + round * 1000;
+  if (tracker != nullptr) {
+    tracker->start(workload::rack_incast_descriptor(inc, hosts.size()), c.now());
+  }
+  workload::start_rack_incast(hosts, inc, c.now());
+  const std::uint64_t events = c.run();
+  c.net().reset_hosts();
+  return events;
+}
+
+struct AllReduceRun {
+  sim::Time start = 0;
+  std::uint64_t events = 0;
+  double wall_ms = 0;
+  bool complete = false;
+};
+
+/// A parameter-server allreduce (reduce to `ar.ps`, then broadcast back)
+/// started now and run to quiescence; wall_ms times the run alone.
+AllReduceRun run_allreduce(Cell& c, const workload::RackAllReduceParams& ar,
+                           coflow::CoflowTracker* tracker = nullptr) {
+  std::vector<workload::RackHost> hosts = c.hosts();
+  workload::RackAllReduce job(ar);
+  job.attach(hosts, c.net().sim_of_host(ar.ps), tracker);
+  AllReduceRun r;
+  r.start = c.now();
+  job.start(r.start);
+  const auto t0 = Clock::now();
+  r.events = c.run();
+  r.wall_ms = now_ns(t0) / 1e6;
+  r.complete = job.complete();
+  return r;
+}
+
+/// The control-churn co-simulation: a mat::VersionedStore and the churn
+/// query program on every edge switch (ctrl::ControlPlane), a
+/// ctrl::ControlAgent on the last host shipping install/evict batches as
+/// in-band kCtrlUpdate packets, shifting-Zipf query clients on the other
+/// hosts, and optionally a background rack incast (from 50 us) so control
+/// and data contend for the same trunks.
+struct ChurnSpec {
+  ctrl::ControlPlaneConfig plane{};
+  ctrl::ControlAgentConfig agent{};
+  workload::ChurnParams queries{};
+  std::optional<workload::RackIncastParams> background;
+};
+
+/// The timed scenarios' churn: 25 us polls over 512 keys whose popularity
+/// shifts by 64 every 200 us.
+ChurnSpec churn_spec(std::uint32_t queries_per_client, std::uint64_t seed) {
+  ChurnSpec s;
+  s.agent.period = 25 * sim::kMicrosecond;
+  s.queries.key_space = 512;
+  s.queries.queries_per_client = queries_per_client;
+  s.queries.shift_period = 200 * sim::kMicrosecond;
+  s.queries.shift_step = 64;
+  s.queries.seed = seed;
+  return s;
+}
+
+struct ChurnRun {
+  double ns = 0;  ///< wall time of the run alone
+  std::uint64_t events = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t outstanding = 0;
+  std::uint64_t staleness_misses = 0;
+  std::uint64_t installs = 0;
+  std::uint64_t agent_polls = 0;
+  std::uint64_t agent_packets = 0;
+  double hit_rate = 0;
+  double hit_latency_ns = 0;
+  double miss_latency_ns = 0;
+  double bg_cct_us = 0;
+
+  /// Every query was answered (the fabric is lossless) and the warmed-up
+  /// stores produced hits: a broken control channel, handoff or churn
+  /// program fails this.
+  bool ok() const { return outstanding == 0 && hits > 0; }
+};
+
+ChurnRun run_churn(Cell& c, ChurnSpec spec) {
+  topo::Network& net = c.net();
+  const std::size_t backing = net.host_count() - 1;
+  ctrl::ControlPlane cp(spec.plane, net);
+  cp.attach_all();
+  ctrl::ControlAgent agent(spec.agent, net, backing);
+  agent.add_all_targets();
+  agent.start();
+  spec.queries.backing_host = backing;
+  workload::ChurnQuery churn(spec.queries, net);
+  churn.start(0);
+
+  coflow::CoflowTracker tracker;
+  if (spec.background) {
+    std::vector<workload::RackHost> hosts = c.hosts();
+    net.set_tracker(&tracker);
+    const sim::Time bg_start = 50 * sim::kMicrosecond;
+    tracker.start(workload::rack_incast_descriptor(*spec.background, hosts.size()), bg_start);
+    workload::start_rack_incast(hosts, *spec.background, bg_start);
+  }
+
+  // The agent polls via every(), which never quiesces on its own: stop it
+  // after the last query could have been issued, then drain.
+  const sim::Time t_stop =
+      spec.queries.interval * spec.queries.queries_per_client + 100 * sim::kMicrosecond;
+  net.sim_of_host(backing).at(t_stop, [&agent] { agent.stop(); });
+
+  ChurnRun r;
+  const auto t0 = Clock::now();
+  r.events = c.run();
+  r.ns = now_ns(t0);
+  r.sent = churn.sent();
+  r.hits = churn.hits();
+  r.misses = churn.misses();
+  r.outstanding = churn.outstanding();
+  r.staleness_misses = cp.total_staleness_misses();
+  r.installs = cp.total_installs();
+  r.agent_polls = agent.polls();
+  r.agent_packets = agent.update_packets();
+  r.hit_rate = churn.hit_rate();
+  r.hit_latency_ns = churn.hit_latency_ns().mean();
+  r.miss_latency_ns = churn.miss_latency_ns().mean();
+  if (spec.background) {
+    r.bg_cct_us = static_cast<double>(
+                      tracker.record(spec.background->coflow_id)->completion_time()) /
+                  1e6;
+    net.set_tracker(nullptr);
+  }
+  return r;
+}
+
+// --- timed scenarios -----------------------------------------------------------
 
 /// One timed run: `ops` operations took `ns` nanoseconds. `ok == false`
 /// flags a scenario-detected failure (lost packets, nondeterminism) that
@@ -118,12 +329,6 @@ struct Sample {
   std::uint64_t ops = 0;
   bool ok = true;
 };
-
-double now_ns(Clock::time_point t0) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-}
-
-// --- scenarios ------------------------------------------------------------
 
 /// Pure event-kernel churn: schedule/fire batches of events, some periodic,
 /// some cancelled — the op count is events *fired*.
@@ -264,427 +469,54 @@ Sample run_tm_loop(std::uint64_t seed, bool quick, unsigned /*threads*/) {
   return {now_ns(t0), iters};
 }
 
-/// Cross-rack incast on a 2-leaf/2-spine ADCP fabric; ops = events.
+/// Cross-rack incast rounds on a 2-leaf/2-spine ADCP fabric; ops = events.
 Sample run_leaf_spine(std::uint64_t seed, bool quick, unsigned /*threads*/) {
-  const std::uint32_t rounds = quick ? 2 : 10;
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 8;
-  p.ecmp_seed = seed;
-  p.profile = g_profile;
-  topo::Network net(sim, p);
-  std::vector<workload::RackHost> hosts;
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  Cell c(edit(leaf_spine(2, 2, 8), [&](auto& p) { p.ecmp_seed = seed; }), 0);
   const auto t0 = Clock::now();
   std::uint64_t executed = 0;
-  for (std::uint32_t r = 0; r < rounds; ++r) {
-    workload::RackIncastParams inc;
-    inc.sink = r % static_cast<std::uint32_t>(hosts.size());
-    inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
-    inc.packets_per_sender = quick ? 4 : 16;
-    inc.flow_base = 70'000 + r * 1000;
-    workload::start_rack_incast(hosts, inc, sim.now());
-    executed += sim.run();
-    net.reset_hosts();
+  for (std::uint32_t r = 0; r < (quick ? 2u : 10u); ++r) {
+    executed += incast_round(c, r, quick ? 4 : 16);
   }
   return {now_ns(t0), executed};
 }
 
-/// Control-plane churn end-to-end: in-band kCtrlUpdate batches from a
-/// ControlAgent cross the fabric to every edge switch's VersionedStore
-/// while clients issue shifting Zipf queries. Checks that every query was
-/// answered and that the warmed-up stores produced hits, so a broken
-/// control channel, handoff, or churn program fails the runner. ops =
-/// events.
+/// The control-churn co-simulation on a 2x2 ADCP leaf-spine (hosts +
+/// spines + mgmt = 8 ports, 4 RMT pipelines); fails unless every query was
+/// answered with a working hit path. ops = events.
 Sample run_control_churn(std::uint64_t seed, bool quick, unsigned /*threads*/) {
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 5;  // hosts + spines + mgmt = 8 ports -> 4 RMT pipelines
-  p.kind = topo::SwitchKind::kAdcp;
-  p.ecmp_seed = seed;
-  p.profile = g_profile;
-  p.control_channel = true;
-  topo::Network net(sim, p);
-
-  const std::size_t backing = net.host_count() - 1;
-  ctrl::ControlPlane cp({}, net);
-  cp.attach_all();
-  ctrl::ControlAgentConfig acfg;
-  acfg.period = 25 * sim::kMicrosecond;
-  ctrl::ControlAgent agent(acfg, net, backing);
-  agent.add_all_targets();
-  agent.start();
-
-  workload::ChurnParams wp;
-  wp.backing_host = backing;
-  wp.key_space = 512;
-  wp.queries_per_client = quick ? 150 : 500;
-  wp.shift_period = 200 * sim::kMicrosecond;
-  wp.shift_step = 64;
-  wp.seed = seed;
-  workload::ChurnQuery churn(wp, net);
-  churn.start(0);
-
-  const sim::Time t_stop =
-      wp.interval * wp.queries_per_client + 100 * sim::kMicrosecond;
-  sim.at(t_stop, [&agent] { agent.stop(); });
-
-  const auto t0 = Clock::now();
-  Sample out;
-  out.ops = sim.run();
-  out.ns = now_ns(t0);
-  if (churn.outstanding() != 0 || churn.hits() == 0) {
-    std::fprintf(stderr,
-                 "control_churn: outstanding=%llu hits=%llu (want 0 / >0)\n",
-                 static_cast<unsigned long long>(churn.outstanding()),
-                 static_cast<unsigned long long>(churn.hits()));
-    out.ok = false;
+  Cell c(edit(leaf_spine(2, 2, 5),
+              [&](auto& p) {
+                p.ecmp_seed = seed;
+                p.control_channel = true;
+              }),
+         0);
+  const ChurnRun r = run_churn(c, churn_spec(quick ? 150 : 500, seed));
+  if (!r.ok()) {
+    std::fprintf(stderr, "control_churn: outstanding=%llu hits=%llu (want 0 / >0)\n",
+                 static_cast<unsigned long long>(r.outstanding),
+                 static_cast<unsigned long long>(r.hits));
   }
-  return out;
+  return {r.ns, r.events, r.ok()};
 }
 
 /// The sharded engine on a 2-leaf/2-spine fabric: one cross-rack incast
-/// per round, run with ParallelSimulator(threads). Checks packet
+/// per round on a fresh ParallelSimulator(threads). Checks packet
 /// conservation and completion, so a silently broken barrier or mailbox
 /// fails the runner instead of just skewing the numbers. ops = events.
 Sample run_parallel_fabric(std::uint64_t seed, bool quick, unsigned threads) {
-  const std::uint32_t rounds = quick ? 2 : 10;
+  const Fabric fabric = edit(leaf_spine(2, 2, 8), [&](auto& p) { p.ecmp_seed = seed; });
+  const std::uint32_t pps = quick ? 4 : 16;
   Sample out;
   const auto t0 = Clock::now();
-  for (std::uint32_t r = 0; r < rounds; ++r) {
-    sim::ParallelSimulator psim(threads);
-    topo::LeafSpineParams p;
-    p.leaves = 2;
-    p.spines = 2;
-    p.hosts_per_leaf = 8;
-    p.ecmp_seed = seed;
-    p.profile = g_profile;
-    topo::Network net(psim, p);
-    std::vector<workload::RackHost> hosts;
-    for (std::size_t i = 0; i < net.host_count(); ++i) {
-      hosts.push_back({&net.host(i), net.ip_of(i)});
-    }
-    workload::RackIncastParams inc;
-    inc.sink = r % static_cast<std::uint32_t>(hosts.size());
-    inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
-    inc.packets_per_sender = quick ? 4 : 16;
-    inc.flow_base = 70'000 + r * 1000;
-    workload::start_rack_incast(hosts, inc, 0);
-    out.ops += psim.run();
-    const std::uint64_t expected =
-        static_cast<std::uint64_t>(inc.senders) * inc.packets_per_sender;
-    if (net.total_host_rx_packets() != expected ||
-        net.total_host_tx_packets() !=
-            net.total_host_rx_packets() + net.total_host_link_drops() +
-                net.total_trunk_drops()) {
-      out.ok = false;
-    }
+  for (std::uint32_t r = 0; r < (quick ? 2u : 10u); ++r) {
+    Cell c(fabric, threads);
+    out.ops += incast_round(c, r, pps);
+    const std::uint64_t expected = (c.net().host_count() - 1) * pps;
+    out.ok = out.ok && c.net().total_host_rx_packets() == expected && c.conserved();
   }
   out.ns = now_ns(t0);
   return out;
 }
-
-// --- datapath fast-path sweep ----------------------------------------------
-
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Cache entries the armed arm of the datapath sweep runs with.
-constexpr std::uint32_t kDatapathEntries = 4096;
-
-/// One arm of one datapath cell: a full fabric run with the flow cache
-/// armed (`entries` > 0) or off, on leaf_spine 2x2x8 or fat_tree k=4,
-/// driving steady repeated incast or the control-churn co-simulation.
-/// `traced` arms span sampling for the byte-equality verification arms
-/// (kept out of the timed arms so tracing cost never pollutes ns/op).
-struct DatapathRun {
-  double ns = 0;
-  std::uint64_t ops = 0;  ///< events executed
-  fastpath::FlowCacheStats fp;
-  std::uint64_t snap_hash = 0;
-  std::uint64_t trace_hash = 0;
-  bool ok = true;
-};
-
-DatapathRun run_datapath_cell(bool fat_tree, bool churn_wl, std::uint32_t entries,
-                              bool traced, bool quick, std::uint64_t seed) {
-  sim::Simulator sim;
-  topo::TierProfile prof = g_profile;
-  prof.fastpath_entries = entries;
-  std::unique_ptr<topo::Network> net;
-  if (fat_tree) {
-    topo::FatTreeParams p;
-    p.k = 4;
-    p.ecmp_seed = seed;
-    p.profile = prof;
-    p.control_channel = churn_wl;
-    if (traced) p.trace.sample_every = 2;
-    net = std::make_unique<topo::Network>(sim, p);
-  } else {
-    topo::LeafSpineParams p;
-    p.leaves = 2;
-    p.spines = 2;
-    p.hosts_per_leaf = 8;
-    p.ecmp_seed = seed;
-    p.profile = prof;
-    p.control_channel = churn_wl;
-    if (traced) p.trace.sample_every = 2;
-    net = std::make_unique<topo::Network>(sim, p);
-  }
-
-  DatapathRun r;
-  if (churn_wl) {
-    const std::size_t backing = net->host_count() - 1;
-    ctrl::ControlPlane cp({}, *net);
-    cp.attach_all();
-    ctrl::ControlAgentConfig acfg;
-    acfg.period = 25 * sim::kMicrosecond;
-    ctrl::ControlAgent agent(acfg, *net, backing);
-    agent.add_all_targets();
-    agent.start();
-    workload::ChurnParams wp;
-    wp.backing_host = backing;
-    wp.key_space = 512;
-    wp.queries_per_client = quick ? 100 : 400;
-    wp.shift_period = 200 * sim::kMicrosecond;
-    wp.shift_step = 64;
-    wp.seed = seed;
-    workload::ChurnQuery churn(wp, *net);
-    churn.start(0);
-    const sim::Time t_stop =
-        wp.interval * wp.queries_per_client + 100 * sim::kMicrosecond;
-    sim.at(t_stop, [&agent] { agent.stop(); });
-    const auto t0 = Clock::now();
-    r.ops = sim.run();
-    r.ns = now_ns(t0);
-    r.ok = churn.outstanding() == 0 && churn.hits() > 0;
-  } else {
-    std::vector<workload::RackHost> hosts;
-    for (std::size_t i = 0; i < net->host_count(); ++i) {
-      hosts.push_back({&net->host(i), net->ip_of(i)});
-    }
-    // Every round rotates the sink and renames the flows, so a flow's first
-    // packet per switch site always misses: packets_per_sender bounds the
-    // achievable hit rate, and the full-size run uses a deep window so the
-    // numbers reflect steady state rather than cold-start fills.
-    const std::uint32_t rounds = quick ? 2 : 10;
-    const auto t0 = Clock::now();
-    for (std::uint32_t round = 0; round < rounds; ++round) {
-      workload::RackIncastParams inc;
-      inc.sink = round % static_cast<std::uint32_t>(hosts.size());
-      inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
-      inc.packets_per_sender = quick ? 4 : 48;
-      inc.flow_base = 70'000 + round * 1000;
-      workload::start_rack_incast(hosts, inc, sim.now());
-      r.ops += sim.run();
-      net->reset_hosts();
-    }
-    r.ns = now_ns(t0);
-    r.ok = net->total_host_tx_packets() ==
-           net->total_host_rx_packets() + net->total_host_link_drops() +
-               net->total_trunk_drops();
-  }
-  net->finalize_metrics();
-  r.fp = net->fastpath_totals();
-  r.snap_hash = fnv1a(net->metrics().snapshot().to_json("pin"));
-  if (traced) r.trace_hash = fnv1a(sim::spans_to_perfetto(net->span_buffers()));
-  return r;
-}
-
-/// `--scenario datapath_fastpath`: cache on/off x {leaf_spine, fat_tree_4}
-/// x {steady incast, control churn}, written as BENCH_datapath.json. Each
-/// cell reports baseline + fastpath ns/op, hit rate, invalidations, the
-/// speedup, and a self-verified `match` gauge: an extra traced off/on run
-/// pair per cell must produce byte-identical snapshots AND span traces
-/// (hashed), or the runner exits nonzero — the cache may only change how
-/// fast the answer arrives, never the answer.
-int run_datapath_bench(bool quick, unsigned repeat, const std::string& out) {
-  adcp::sim::MetricRegistry report;
-  report.gauge("config.quick").set(quick ? 1.0 : 0.0);
-  report.gauge("config.repeat").set(static_cast<double>(repeat));
-  report.gauge("config.fastpath_entries").set(static_cast<double>(kDatapathEntries));
-  report.gauge("config.tier_profile_full").set(g_profile.eager_state ? 1.0 : 0.0);
-
-  bool all_ok = true;
-  for (const bool fat_tree : {false, true}) {
-    const char* scale = fat_tree ? "fat_tree_4" : "leaf_spine";
-    for (const bool churn_wl : {false, true}) {
-      const char* wl = churn_wl ? "churn" : "steady";
-      double base_ns = 0, fast_ns = 0;
-      std::uint64_t base_ops = 0, fast_ops = 0;
-      fastpath::FlowCacheStats fp;
-      bool ok = true;
-      for (unsigned r = 0; r < repeat; ++r) {
-        const DatapathRun b =
-            run_datapath_cell(fat_tree, churn_wl, 0, false, quick, 0x5eed0000ull + r);
-        base_ns += b.ns;
-        base_ops += b.ops;
-        ok = ok && b.ok && b.fp.hits + b.fp.misses == 0;
-      }
-      for (unsigned r = 0; r < repeat; ++r) {
-        const DatapathRun f = run_datapath_cell(fat_tree, churn_wl, kDatapathEntries,
-                                                false, quick, 0x5eed0000ull + r);
-        fast_ns += f.ns;
-        fast_ops += f.ops;
-        fp.hits += f.fp.hits;
-        fp.misses += f.fp.misses;
-        fp.invalidations += f.fp.invalidations;
-        fp.evictions += f.fp.evictions;
-        ok = ok && f.ok && f.fp.hits > 0;
-      }
-      // The equality gate: one traced run pair, same seed, off vs on.
-      const DatapathRun voff =
-          run_datapath_cell(fat_tree, churn_wl, 0, true, quick, 0x5eed0000ull);
-      const DatapathRun von = run_datapath_cell(fat_tree, churn_wl, kDatapathEntries,
-                                                true, quick, 0x5eed0000ull);
-      const bool match = voff.ops == von.ops && voff.snap_hash == von.snap_hash &&
-                         voff.trace_hash == von.trace_hash;
-      ok = ok && match;
-
-      const double base_ns_per_op =
-          base_ops > 0 ? base_ns / static_cast<double>(base_ops) : 0.0;
-      const double fast_ns_per_op =
-          fast_ops > 0 ? fast_ns / static_cast<double>(fast_ops) : 0.0;
-      const double speedup = fast_ns_per_op > 0 ? base_ns_per_op / fast_ns_per_op : 0.0;
-      const double hit_rate =
-          fp.hits + fp.misses > 0
-              ? static_cast<double>(fp.hits) / static_cast<double>(fp.hits + fp.misses)
-              : 0.0;
-      std::printf(
-          "datapath %-10s %-6s base %8.1f ns/ev fast %8.1f ns/ev speedup %5.2fx "
-          "hit %5.1f%% inval %llu%s%s\n",
-          scale, wl, base_ns_per_op, fast_ns_per_op, speedup, hit_rate * 100.0,
-          static_cast<unsigned long long>(fp.invalidations),
-          match ? "" : "  MISMATCH", ok ? "" : "  FAILED");
-
-      adcp::sim::Scope sc = report.scope(scale).scope(wl);
-      sc.gauge("baseline.ns_per_op").set(base_ns_per_op);
-      adcp::sim::Scope fs = sc.scope("fastpath");
-      fs.gauge("ns_per_op").set(fast_ns_per_op);
-      fs.gauge("hit_rate").set(hit_rate);
-      fs.gauge("invalidations").set(static_cast<double>(fp.invalidations));
-      fs.gauge("evictions").set(static_cast<double>(fp.evictions));
-      sc.gauge("speedup").set(speedup);
-      sc.gauge("match").set(match ? 1.0 : 0.0);
-      sc.gauge("ok").set(ok ? 1.0 : 0.0);
-      all_ok = all_ok && ok;
-    }
-  }
-  const bool wrote = out.empty() || adcp::bench::write_report(report, "datapath", out);
-  if (!all_ok) std::fprintf(stderr, "datapath_fastpath reported a failed cell\n");
-  return all_ok && wrote ? 0 : 1;
-}
-
-/// The --trace-out capture: one untimed 2-leaf/2-spine cross-rack incast
-/// with every flow sampled, exported as Chrome trace-event JSON.
-bool write_trace_capture(const std::string& path, bool quick) {
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 8;
-  p.trace.sample_every = 1;
-  topo::Network net(sim, p);
-  std::vector<workload::RackHost> hosts;
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
-  workload::RackIncastParams inc;
-  inc.sink = 0;
-  inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
-  inc.packets_per_sender = quick ? 4 : 16;
-  workload::start_rack_incast(hosts, inc, sim.now());
-  sim.run();
-  const bool ok = sim::write_text_file(path, sim::spans_to_perfetto(net.span_buffers()));
-  if (ok) {
-    std::printf("wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  }
-  return ok;
-}
-
-// --- thread sweep ----------------------------------------------------------
-
-/// `--threads 1,2,4,8` sweep mode: runs the parallel_fabric scenario once
-/// per worker count, serially (concurrent samples would contend for the
-/// cores being measured), and emits one BENCH_parallel.json with a
-/// per-thread-count series (parallel_fabric.t<N>.{wall_ms,ns_per_op,
-/// ops_per_sec,speedup,ok}) plus config.hardware_threads so readers can
-/// judge the speedups against the cores that were actually available.
-int run_thread_sweep(const std::vector<unsigned>& thread_counts, bool quick,
-                     unsigned repeat, const std::string& out) {
-  adcp::sim::MetricRegistry report;
-  report.gauge("config.quick").set(quick ? 1.0 : 0.0);
-  report.gauge("config.repeat").set(static_cast<double>(repeat));
-  report.gauge("config.hardware_threads")
-      .set(static_cast<double>(std::thread::hardware_concurrency()));
-  report.gauge("config.tier_profile_full").set(g_profile.eager_state ? 1.0 : 0.0);
-
-  // Construction cost of the sweep's fabric under the selected profile —
-  // the construction.* series satellite readers (CI smoke, E22) consume.
-  {
-    const std::uint64_t rss0 = rss_bytes_now();
-    sim::Simulator csim;
-    topo::LeafSpineParams p;
-    p.leaves = 2;
-    p.spines = 2;
-    p.hosts_per_leaf = 8;
-    p.profile = g_profile;
-    topo::Network cnet(csim, p);
-    adcp::sim::Scope cs = report.scope("construction");
-    cnet.export_construction(cs);
-    cs.gauge("rss_bytes").set(static_cast<double>(rss_bytes_now() - rss0));
-    std::printf("construction(%s)  %.2f ms  reserved %llu B  touched %llu B\n",
-                g_profile.name(), cnet.construction().build_ms,
-                static_cast<unsigned long long>(cnet.construction().bytes_reserved),
-                static_cast<unsigned long long>(cnet.construction().bytes_touched));
-  }
-
-  bool all_ok = true;
-  double t1_ns_per_op = 0;
-  adcp::sim::Scope sc = report.scope("parallel_fabric");
-  for (const unsigned n : thread_counts) {
-    double ns = 0;
-    std::uint64_t ops = 0;
-    bool ok = true;
-    for (unsigned r = 0; r < repeat; ++r) {
-      const Sample s = run_parallel_fabric(0x5eed0000ull + r, quick, n);
-      ns += s.ns;
-      ops += s.ops;
-      ok = ok && s.ok;
-    }
-    const double ns_per_op = ops > 0 ? ns / static_cast<double>(ops) : 0.0;
-    if (n == thread_counts.front()) t1_ns_per_op = ns_per_op;
-    const double speedup = ns_per_op > 0 ? t1_ns_per_op / ns_per_op : 0.0;
-    std::printf("parallel_fabric t%-2u %10.1f ns/event %8.2f ms  speedup %5.2fx%s\n",
-                n, ns_per_op, ns / 1e6, speedup, ok ? "" : "  FAILED");
-    adcp::sim::Scope ts = sc.scope(std::string("t") + std::to_string(n));
-    ts.gauge("wall_ms").set(ns / 1e6);
-    ts.gauge("ns_per_op").set(ns_per_op);
-    ts.gauge("ops_per_sec").set(ns_per_op > 0 ? 1e9 / ns_per_op : 0.0);
-    ts.gauge("speedup").set(speedup);
-    ts.gauge("ok").set(ok ? 1.0 : 0.0);
-    all_ok = all_ok && ok;
-  }
-  const bool wrote = out.empty() || adcp::bench::write_report(report, "parallel", out);
-  if (!all_ok) std::fprintf(stderr, "parallel_fabric reported a failed run\n");
-  return all_ok && wrote ? 0 : 1;
-}
-
-// --- harness --------------------------------------------------------------
 
 using ScenarioFn = Sample (*)(std::uint64_t seed, bool quick, unsigned threads);
 
@@ -705,124 +537,27 @@ constexpr Scenario kScenarios[] = {
     {"parallel_fabric", run_parallel_fabric, "event"},
 };
 
-struct Result {
-  std::string name;
-  std::string unit;
-  double ns_per_op = 0;
-  double ops_per_sec = 0;
-  std::uint64_t total_ops = 0;
-  unsigned runs = 0;
+// --- modes -------------------------------------------------------------------
+
+/// A mode's verdict, plus any engine self-profile to fold into its report.
+struct Outcome {
+  bool ok = true;
+  sim::Snapshot extra{};
 };
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--quick] [--scenario NAME] [--threads N] "
-               "[--repeat N] [--tier-profile full|slim] [--out FILE] "
-               "[--trace-out FILE]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  std::string threads_arg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--scenario") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.scenario = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      threads_arg = v;
-      opt.threads = std::max(1, std::atoi(v));
-    } else if (arg == "--repeat") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.repeat = std::max(1, std::atoi(v));
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.trace_out = v;
-    } else if (arg == "--tier-profile") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      const auto profile = topo::TierProfile::parse(v);
-      if (!profile) {
-        std::fprintf(stderr, "unknown --tier-profile '%s' (full | slim)\n", v);
-        return 2;
-      }
-      g_profile = *profile;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
-  // A comma list in --threads selects the parallel_fabric sweep mode
-  // (one BENCH_parallel.json, per-thread-count series) instead of the
-  // scenario × seed fan-out.
-  if (threads_arg.find(',') != std::string::npos) {
-    if (!opt.scenario.empty() && opt.scenario != "parallel_fabric") {
-      std::fprintf(stderr, "--threads with a comma list sweeps parallel_fabric only\n");
-      return 2;
-    }
-    std::vector<unsigned> counts;
-    std::size_t start = 0;
-    while (start <= threads_arg.size()) {
-      const std::size_t comma = threads_arg.find(',', start);
-      const std::string item = threads_arg.substr(
-          start, comma == std::string::npos ? std::string::npos : comma - start);
-      if (!item.empty()) {
-        const int n = std::atoi(item.c_str());
-        if (n <= 0) return usage(argv[0]);
-        counts.push_back(static_cast<unsigned>(n));
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return run_thread_sweep(counts, opt.quick, opt.repeat, opt.out);
-  }
-
-  // The datapath fast-path sweep runs its own paired on/off arms and
-  // equality gates; its report (BENCH_datapath.json) is its own rather
-  // than joining the scenario x seed fan-out.
-  if (opt.scenario == "datapath_fastpath") {
-    return run_datapath_bench(opt.quick, opt.repeat, opt.out);
-  }
-
-  // Build the work list: scenario × repeat, each with its own seed.
+/// The timed scenarios (or the one --scenario names) x --repeat seeds,
+/// fanned across --threads workers.
+Outcome run_scenarios(const Options& opt, sim::MetricRegistry& report) {
   struct Job {
     const Scenario* sc;
     std::uint64_t seed;
   };
   std::vector<Job> jobs;
-  bool matched = false;
   for (const Scenario& sc : kScenarios) {
     if (!opt.scenario.empty() && opt.scenario != sc.name) continue;
-    matched = true;
-    for (unsigned r = 0; r < opt.repeat; ++r) {
-      jobs.push_back({&sc, 0x5eed0000ull + r});
-    }
-  }
-  if (!matched) {
-    std::fprintf(stderr, "unknown scenario '%s'; known:", opt.scenario.c_str());
-    for (const Scenario& sc : kScenarios) std::fprintf(stderr, " %s", sc.name);
-    std::fprintf(stderr, "\n");
-    return 2;
+    for (unsigned r = 0; r < opt.repeat; ++r) jobs.push_back({&sc, 0x5eed0000ull + r});
   }
 
-  // Fan jobs across threads. Each job runs one fully independent,
-  // deterministic, single-threaded simulation.
   std::mutex mu;
   std::size_t next_job = 0;
   std::vector<std::vector<Sample>> samples(std::size(kScenarios));
@@ -834,58 +569,695 @@ int main(int argc, char** argv) {
         if (next_job >= jobs.size()) return;
         j = next_job++;
       }
-      const Sample s = jobs[j].sc->fn(jobs[j].seed, opt.quick, opt.threads);
+      const Sample s = jobs[j].sc->fn(jobs[j].seed, opt.quick, opt.threads.front());
       std::lock_guard<std::mutex> lk(mu);
       samples[static_cast<std::size_t>(jobs[j].sc - kScenarios)].push_back(s);
     }
   };
-  const unsigned nthreads = std::min<std::size_t>(opt.threads, jobs.size());
+  const unsigned nthreads = std::min<std::size_t>(opt.threads.front(), jobs.size());
   std::vector<std::thread> pool;
   pool.reserve(nthreads);
   for (unsigned t = 0; t < nthreads; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
 
-  // Aggregate: total ops / total ns per scenario; collect failures.
-  std::vector<Result> results;
-  std::vector<std::string> failed;
-  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
-    if (samples[i].empty()) continue;
-    Result r;
-    r.name = kScenarios[i].name;
-    r.unit = kScenarios[i].unit;
-    double ns = 0;
-    for (const Sample& s : samples[i]) {
-      ns += s.ns;
-      r.total_ops += s.ops;
-      if (!s.ok && (failed.empty() || failed.back() != r.name)) failed.push_back(r.name);
-    }
-    r.ns_per_op = ns / static_cast<double>(r.total_ops);
-    r.ops_per_sec = 1e9 / r.ns_per_op;
-    r.runs = static_cast<unsigned>(samples[i].size());
-    results.push_back(std::move(r));
-  }
-
-  // Report: human-readable to stdout, the shared adcp-metrics-v1 JSON
-  // schema (same as every bench_* binary) to --out.
-  adcp::sim::MetricRegistry report;
   report.gauge("config.quick").set(opt.quick ? 1.0 : 0.0);
   report.gauge("config.threads").set(static_cast<double>(nthreads));
   report.gauge("config.repeat").set(static_cast<double>(opt.repeat));
   report.gauge("config.tier_profile_full").set(g_profile.eager_state ? 1.0 : 0.0);
-  for (const Result& r : results) {
-    std::printf("%-16s %10.1f ns/%s %14.0f %ss/sec (%u runs, %llu ops)\n",
-                r.name.c_str(), r.ns_per_op, r.unit.c_str(), r.ops_per_sec,
-                r.unit.c_str(), r.runs, static_cast<unsigned long long>(r.total_ops));
-    adcp::sim::Scope sc = report.scope(r.name);
-    sc.gauge("ns_per_op").set(r.ns_per_op);
-    sc.gauge("ops_per_sec").set(r.ops_per_sec);
-    sc.gauge("runs").set(static_cast<double>(r.runs));
-    sc.gauge("total_ops").set(static_cast<double>(r.total_ops));
+  // Aggregate: total ops / total ns per scenario.
+  Outcome o;
+  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+    if (samples[i].empty()) continue;
+    const Scenario& sc = kScenarios[i];
+    double ns = 0;
+    std::uint64_t ops = 0;
+    bool ok = true;
+    for (const Sample& s : samples[i]) {
+      ns += s.ns;
+      ops += s.ops;
+      ok = ok && s.ok;
+    }
+    const double ns_per_op = ns / static_cast<double>(ops);
+    std::printf("%-16s %10.1f ns/%s %14.0f %ss/sec (%zu runs, %llu ops)\n", sc.name,
+                ns_per_op, sc.unit, 1e9 / ns_per_op, sc.unit, samples[i].size(),
+                static_cast<unsigned long long>(ops));
+    sim::Scope s = report.scope(sc.name);
+    s.gauge("ns_per_op").set(ns_per_op);
+    s.gauge("ops_per_sec").set(1e9 / ns_per_op);
+    s.gauge("runs").set(static_cast<double>(samples[i].size()));
+    s.gauge("total_ops").set(static_cast<double>(ops));
+    if (!ok) std::fprintf(stderr, "scenario '%s' reported a failed run\n", sc.name);
+    o.ok = o.ok && ok;
   }
-  const bool wrote = opt.out.empty() || adcp::bench::write_report(report, "kernel", opt.out);
-  const bool traced = opt.trace_out.empty() || write_trace_capture(opt.trace_out, opt.quick);
-  for (const std::string& name : failed) {
-    std::fprintf(stderr, "scenario '%s' reported a failed run\n", name.c_str());
+  return o;
+}
+
+/// `--scenario rack_coflows` (E18): a 4-leaf/2-spine/64-host fabric built
+/// from each switch model runs the two cross-rack workloads the paper
+/// motivates: a full-fabric incast (63 senders into host 0), then a PS
+/// allreduce with 16 workers spread 4 per rack and the PS in rack 0.
+/// Reports CCTs, hop percentiles, trunk utilization, ECMP imbalance and
+/// the reorder count (0 on this lossless fabric: ECMP is per flow) per
+/// tier; fails unless every sent packet was received or dropped.
+Outcome run_rack_coflows(const Options& opt, sim::MetricRegistry& report) {
+  std::printf("leaf–spine fabric (4 leaves x 16 hosts, 2 spines): cross-rack coflows\n\n");
+  std::printf("%-6s %-14s %-12s %-12s %-14s %-10s %-10s %-10s %-10s\n", "tier",
+              "incast CCT us", "reduce us", "bcast us", "allreduce us", "hops p50",
+              "ecmp imb", "max util", "reordered");
+  const struct {
+    const char* name;
+    topo::SwitchKind kind;
+  } tiers[] = {{"rmt", topo::SwitchKind::kRmt}, {"adcp", topo::SwitchKind::kAdcp}};
+  const auto cct_us = [](const coflow::CoflowTracker& t, std::uint16_t id) {
+    return static_cast<double>(t.record(id)->completion_time()) / 1e6;
+  };
+  bool conserved = true;
+  for (const auto& tier : tiers) {
+    Cell c(edit(leaf_spine(4, 2, 16), [&](auto& p) { p.kind = tier.kind; }), 0);
+    topo::Network& net = c.net();
+    coflow::CoflowTracker tracker;
+    net.set_tracker(&tracker);
+    std::uint64_t events = incast_round(c, 0, opt.quick ? 8 : 64, &tracker);
+    workload::RackAllReduceParams ar;
+    ar.ps = 0;
+    for (std::uint32_t w = 0; w < 16; ++w) ar.workers.push_back((w % 4) * 16 + 1 + w / 4);
+    ar.vector_len = opt.quick ? 64 : 512;
+    const AllReduceRun a = run_allreduce(c, ar, &tracker);
+    events += a.events;
+    if (!a.complete) std::fprintf(stderr, "allreduce did not complete!\n");
+    const double incast_us = cct_us(tracker, workload::RackIncastParams{}.coflow_id);
+    const double reduce_us = cct_us(tracker, ar.reduce_coflow);
+    const double bcast_us = cct_us(tracker, ar.bcast_coflow);
+    const double total_us =
+        static_cast<double>(tracker.record(ar.bcast_coflow)->finish.value() - a.start) / 1e6;
+    net.set_tracker(nullptr);
+
+    net.finalize_metrics();
+    std::uint64_t reordered = 0;
+    for (std::size_t i = 0; i < net.host_count(); ++i) reordered += net.host(i).rx_reordered();
+    const double hops_p50 = net.hops().quantile(0.5);
+    const double imbalance = net.scope().gauge("ecmp.imbalance").value();
+    const double max_util = net.scope().gauge("trunk.max_utilization").value();
+    std::printf("%-6s %-14.2f %-12.2f %-12.2f %-14.2f %-10.1f %-10.3f %-10.3f %-10llu\n",
+                tier.name, incast_us, reduce_us, bcast_us, total_us, hops_p50, imbalance,
+                max_util, static_cast<unsigned long long>(reordered));
+    conserved = conserved && c.conserved();
+    sim::Scope s = report.scope(tier.name);
+    s.gauge("incast.cct_us").set(incast_us);
+    s.gauge("allreduce.reduce_cct_us").set(reduce_us);
+    s.gauge("allreduce.bcast_cct_us").set(bcast_us);
+    s.gauge("allreduce.total_us").set(total_us);
+    s.gauge("hops.p50").set(hops_p50);
+    s.gauge("hops.max").set(net.hops().quantile(1.0));
+    s.gauge("ecmp.imbalance").set(imbalance);
+    s.gauge("trunk.max_utilization").set(max_util);
+    s.gauge("rx.reordered").set(static_cast<double>(reordered));
+    s.gauge("host.tx_packets").set(static_cast<double>(net.total_host_tx_packets()));
+    s.gauge("host.rx_packets").set(static_cast<double>(net.total_host_rx_packets()));
+    s.gauge("events").set(static_cast<double>(events));
   }
-  return failed.empty() && wrote && traced ? 0 : 1;
+  std::printf(
+      "\nExpected shape: cross-rack packets take 3 switch hops (p50 with the\n"
+      "incast sink in rack 0 stays 3), reordered == 0 (per-flow ECMP), and\n"
+      "tx == rx (lossless conservation%s). ADCP pays its central-pipe traversal\n"
+      "on every hop; RMT routes in the ingress pipes.\n",
+      conserved ? ": holds" : ": VIOLATED");
+  return {conserved};
+}
+
+struct ScaleRun {
+  std::uint64_t events = 0;
+  sim::Time now = 0;
+  std::uint64_t hash = 0;
+  double wall_ms = 0;
+  bool complete = false;
+  std::string trace;       ///< Perfetto JSON (sharded runs, when tracing)
+  std::string pdes_trace;  ///< PDES busy/barrier profile (sharded, tracing)
+  sim::Snapshot pdes;      ///< engine self-profile metrics (sharded runs)
+};
+
+/// One arm of the parallel sweep: host 0 is the PS of an allreduce over
+/// every other host of `fabric`, run monolithic when `threads == 0`.
+/// `weights` (when non-null) overrides the topology's static shard-weight
+/// estimate with a measured cost model (a previous run's shard_busy_ns);
+/// `busy_out` (when non-null) receives this run's measured busy times.
+ScaleRun run_scale(Fabric fabric, unsigned threads, bool quick, bool trace,
+                   const std::vector<double>* weights = nullptr,
+                   std::vector<double>* busy_out = nullptr) {
+  if (trace) fabric = edit(fabric, [](auto& p) { p.trace.sample_every = 1; });
+  Cell c(fabric, threads);
+  sim::ParallelSimulator* psim = c.par();
+  if (psim != nullptr && trace) psim->enable_profile_spans();
+  if (psim != nullptr && weights != nullptr && weights->size() == psim->shard_count()) {
+    psim->set_shard_weights(*weights);
+  }
+  workload::RackAllReduceParams ar;
+  ar.ps = 0;
+  for (std::uint32_t w = 1; w < c.net().host_count(); ++w) ar.workers.push_back(w);
+  ar.vector_len = quick ? 64 : 512;
+  const AllReduceRun a = run_allreduce(c, ar);
+
+  ScaleRun r;
+  r.events = a.events;
+  r.wall_ms = a.wall_ms;
+  r.complete = a.complete;
+  r.now = c.now();
+  c.net().finalize_metrics();
+  r.hash = bench::fnv1a(c.net().merged_snapshot().to_json("scale"));
+  if (psim != nullptr) {
+    r.pdes = psim->metrics().snapshot();
+    if (busy_out != nullptr) *busy_out = psim->shard_busy_ns();
+    if (trace) {
+      r.trace = sim::spans_to_perfetto(c.net().span_buffers());
+      // Wall-clock ns, not simulated ps: 1e-3 puts the track in microseconds.
+      r.pdes_trace = sim::spans_to_perfetto(psim->profile_span_buffers(), 1e-3);
+    }
+  }
+  return r;
+}
+
+/// MemAvailable from /proc/meminfo (0 when unknown) — gates the eager arm.
+double mem_available_bytes() {
+#ifdef __linux__
+  std::FILE* f = std::fopen("/proc/meminfo", "r");
+  if (f == nullptr) return 0.0;
+  char key[64];
+  long long kb = 0;
+  char unit[16];
+  double avail = 0.0;
+  while (std::fscanf(f, "%63s %lld %15s", key, &kb, unit) == 3) {
+    if (std::strcmp(key, "MemAvailable:") == 0) {
+      avail = static_cast<double>(kb) * 1024.0;
+      break;
+    }
+  }
+  std::fclose(f);
+  return avail;
+#else
+  return 0.0;
+#endif
+}
+
+/// Builds the fabric under both tier profiles (no traffic) and records the
+/// construction cost series: <scope>.{slim,full}.{build_ms, rss_bytes,
+/// bytes_reserved, bytes_touched, templates_built, templates_shared,
+/// skipped} plus the headline <scope>.speedup and <scope>.rss_ratio
+/// (full / slim). The slim arm runs first — it leaves almost nothing
+/// resident, keeping the full arm's RSS delta honest — and its
+/// bytes_reserved (identical to what full will touch) RAM-gates the full
+/// arm: an eager ADCP fat_tree(8) wants ~19 GB.
+void probe_construction(sim::Scope scope, const Fabric& fabric) {
+  struct Arm {
+    const char* name;
+    topo::TierProfile profile;
+  };
+  const Arm arms[] = {{"slim", topo::TierProfile::slim()},
+                      {"full", topo::TierProfile::full()}};
+  double slim_ms = 0.0;
+  double slim_rss = 0.0;
+  double reserved_estimate = 0.0;
+  for (const Arm& arm : arms) {
+    sim::Scope as = scope.scope(arm.name);
+    if (arm.profile.eager_state && reserved_estimate > 0.0) {
+      const double avail = mem_available_bytes();
+      if (avail > 0.0 && reserved_estimate * 1.25 + 1e9 > avail) {
+        std::printf("  construction.full: skipped (wants ~%.1f GB, %.1f GB available)\n",
+                    reserved_estimate / 1e9, avail / 1e9);
+        as.gauge("skipped").set(1.0);
+        continue;
+      }
+    }
+    const double rss0 = bench::rss_bytes_now();
+    Cell c(edit(fabric, [&](auto& p) { p.profile = arm.profile; }), 0);
+    const double rss = std::max(0.0, bench::rss_bytes_now() - rss0);
+    const auto& cs = c.net().construction();
+    c.net().export_construction(as);
+    as.gauge("rss_bytes").set(rss);
+    as.gauge("skipped").set(0.0);
+    std::printf("  construction.%s: %8.2f ms  rss %8.1f MB  touched %8.1f MB"
+                "  (reserved %.1f MB, %llu templates, %llu shared)\n",
+                arm.name, cs.build_ms, rss / 1e6,
+                static_cast<double>(cs.bytes_touched) / 1e6,
+                static_cast<double>(cs.bytes_reserved) / 1e6,
+                static_cast<unsigned long long>(cs.templates_built),
+                static_cast<unsigned long long>(cs.templates_shared));
+    if (!arm.profile.eager_state) {
+      slim_ms = cs.build_ms;
+      slim_rss = rss;
+      reserved_estimate = static_cast<double>(cs.bytes_reserved);
+    } else if (slim_ms > 0.0) {
+      scope.gauge("speedup").set(cs.build_ms / slim_ms);
+      if (slim_rss > 0.0) scope.gauge("rss_ratio").set(rss / slim_rss);
+      std::printf("  construction: slim is %.1fx faster, %.1fx smaller RSS\n",
+                  cs.build_ms / slim_ms, slim_rss > 0.0 ? rss / slim_rss : 0.0);
+    }
+  }
+}
+
+/// Mono-vs-sharded executed-event skew beyond this is a real divergence
+/// (lost or duplicated packets move it by hundreds), not wake coalescing.
+constexpr std::uint64_t kMaxEventSkew = 16;
+
+/// `--scale S1,S2,...` (E19-E22): per fabric, the construction probe, then
+/// the PS allreduce monolithic, sharded at 1 worker (the par-vs-par
+/// reference, whose per-shard busy_ns feed the LPT packer for the wider
+/// runs) and at every further --threads count. Each run is checked against
+/// the determinism contract — final time + snapshot hash vs monolithic,
+/// exact event count vs 1 worker, event skew vs monolithic <= 16, and with
+/// --trace-out byte-equal span traces vs 1 worker — and reported as
+/// <scale>.t<N>.{wall_ms,speedup,events,determinism.match}, next to the
+/// headline <scale>.{speedup,determinism.match} row (widest count).
+/// --trace-out PATH samples every flow and writes the widest sharded run's
+/// trace there (PATH.<scale> for several scales) and its PDES busy/wait
+/// self-profile to <that>.pdes.json. Tracing determinism compares the
+/// sharded engine against itself at 1 worker, not against the monolithic
+/// run: sequential-vs-sharded same-tick ties may legally interleave
+/// differently (see ParallelSimulator::run()), which per-packet spans
+/// expose even though every aggregate metric agrees.
+Outcome run_parallel_scaling(const Options& opt, sim::MetricRegistry& report) {
+  const bool trace = !opt.trace_out.empty();
+  report.gauge("config.quick").set(opt.quick ? 1.0 : 0.0);
+  report.gauge("config.threads").set(static_cast<double>(opt.threads.back()));
+  report.gauge("config.tier_profile_full").set(g_profile.eager_state ? 1.0 : 0.0);
+
+  Outcome o;
+  for (const std::string& scale : opt.scales) {
+    const Fabric fabric = *scale_fabric(scale);
+    std::printf("construction sweep: %s (%s profile for the runs below)\n", scale.c_str(),
+                g_profile.name());
+    probe_construction(report.scope(scale).scope("construction"), fabric);
+    const ScaleRun mono = run_scale(fabric, 0, opt.quick, trace);
+    std::vector<double> busy;
+    const ScaleRun par1 = run_scale(fabric, 1, opt.quick, trace, nullptr, &busy);
+
+    // The executed-event skew is a deterministic constant of the scenario
+    // (same-tick wake coalescing under the sharded tie order — see
+    // test_parallel_sim); gate it instead of silently diverging.
+    const std::uint64_t skew =
+        par1.events > mono.events ? par1.events - mono.events : mono.events - par1.events;
+    const bool skew_ok = skew <= kMaxEventSkew;
+    std::printf("parallel scaling: %s allreduce (%llu mono events, skew %llu)\n",
+                scale.c_str(), static_cast<unsigned long long>(mono.events),
+                static_cast<unsigned long long>(skew));
+    std::printf("  monolithic: %8.2f ms\n", mono.wall_ms);
+
+    sim::Scope s = report.scope(scale);
+    s.gauge("monolithic.wall_ms").set(mono.wall_ms);
+    s.gauge("monolithic.events").set(static_cast<double>(mono.events));
+    s.gauge("events.skew").set(static_cast<double>(skew));
+
+    bool scale_ok = skew_ok && mono.complete && par1.complete;
+    ScaleRun widest;
+    for (const unsigned n : opt.threads) {
+      const ScaleRun par =
+          n == 1 ? par1 : run_scale(fabric, n, opt.quick, trace, &busy, nullptr);
+      const bool trace_match = !trace || par.trace == par1.trace;
+      const bool deterministic = mono.now == par.now && mono.hash == par.hash &&
+                                 par.events == par1.events && trace_match;
+      const double speedup = par.wall_ms > 0 ? mono.wall_ms / par.wall_ms : 0.0;
+      std::printf("  t%-2u:        %8.2f ms  speedup %5.2fx  %s\n", n, par.wall_ms, speedup,
+                  deterministic ? "match" : "DIVERGE");
+      sim::Scope ts = s.scope(std::string("t").append(std::to_string(n)));
+      ts.gauge("wall_ms").set(par.wall_ms);
+      ts.gauge("speedup").set(speedup);
+      ts.gauge("events").set(static_cast<double>(par.events));
+      ts.gauge("determinism.match").set(deterministic ? 1.0 : 0.0);
+      if (trace) ts.gauge("determinism.trace_match").set(trace_match ? 1.0 : 0.0);
+      scale_ok = scale_ok && deterministic && par.complete;
+      if (n == opt.threads.back()) {
+        // The headline row (what the CI speedup floor reads), kept at the
+        // widest configuration.
+        s.gauge("parallel.wall_ms").set(par.wall_ms);
+        s.gauge("parallel.events").set(static_cast<double>(par.events));
+        s.gauge("speedup").set(speedup);
+        s.gauge("determinism.match").set(scale_ok ? 1.0 : 0.0);
+        widest = par;
+      }
+    }
+    if (!skew_ok) {
+      std::fprintf(stderr, "%s: event skew %llu exceeds %llu\n", scale.c_str(),
+                   static_cast<unsigned long long>(skew),
+                   static_cast<unsigned long long>(kMaxEventSkew));
+    }
+    if (!mono.complete || !widest.complete) {
+      std::fprintf(stderr, "%s: allreduce did not complete!\n", scale.c_str());
+    }
+    if (trace) {
+      const std::string path =
+          opt.scales.size() == 1 ? opt.trace_out : opt.trace_out + "." + scale;
+      for (const auto& [file, text] : {std::pair{path, &widest.trace},
+                                       std::pair{path + ".pdes.json", &widest.pdes_trace}}) {
+        if (sim::write_text_file(file, *text)) {
+          std::printf("wrote %s\n", file.c_str());
+        } else {
+          std::fprintf(stderr, "cannot write %s\n", file.c_str());
+          scale_ok = false;
+        }
+      }
+    }
+    // The engine's self-profile (pdes.shard<i>.busy_ns/idle_ns/
+    // horizon_wait_ns, pdes.mailbox.occupancy) joins the report only for a
+    // single scale, where the shard indices are unambiguous. Its
+    // wall-clock values are nondeterministic, like wall_ms.
+    if (opt.scales.size() == 1) o.extra = widest.pdes;
+    o.ok = o.ok && scale_ok;
+  }
+  return o;
+}
+
+/// `--scenario control_grid` (E23): the control-churn co-simulation on a
+/// 2-leaf/2-spine fabric, crossed over switch architecture x agent poll
+/// period (the update rate) x popularity shift period (0 = static
+/// baseline), with a background rack incast into host 0. The contrast the
+/// paper predicts: the ADCP store is one global area (full capacity), the
+/// RMT store replicates into every ingress pipeline (capacity divided by
+/// pipeline_count), so under the same update budget RMT holds fewer hot
+/// keys and its hit rate drops — hardest right after a shift, when the
+/// staleness window (queries lost between stage and commit) also peaks.
+/// One <arch>.p<poll_us>.s<shift_us>.* series per cell; fails unless every
+/// cell answered every query with a working hit path.
+Outcome run_control_grid(const Options& opt, sim::MetricRegistry& report) {
+  const topo::SwitchKind kinds[] = {topo::SwitchKind::kRmt, topo::SwitchKind::kAdcp};
+  const sim::Time periods[] = {25 * sim::kMicrosecond, 100 * sim::kMicrosecond};
+  const sim::Time shifts[] = {0, 200 * sim::kMicrosecond};
+  std::printf("%-6s %8s %8s | %8s %6s %6s %9s %8s | %9s %9s %9s\n", "arch", "poll_us",
+              "shift_us", "hit_rate", "hits", "misses", "stale_mis", "installs", "hit_ns",
+              "miss_ns", "bg_cct_us");
+  bool ok = true;
+  for (const topo::SwitchKind kind : kinds) {
+    const char* arch = kind == topo::SwitchKind::kRmt ? "rmt" : "adcp";
+    for (const sim::Time period : periods) {
+      for (const sim::Time shift : shifts) {
+        // Port count must stay a multiple of 4 (hosts + spines + mgmt) so
+        // the RMT tier keeps its 4 ingress pipelines — the capacity split
+        // under test.
+        Cell c(edit(leaf_spine(2, 2, opt.quick ? 5 : 9),
+                    [&](auto& p) {
+                      p.kind = kind;
+                      p.control_channel = true;
+                    }),
+               0);
+        ChurnSpec spec;
+        spec.plane.store_capacity = 64;  // ADCP: 64 entries; RMT: 64/4 per pipeline
+        spec.agent.period = period;
+        spec.agent.hot_set = 48;
+        spec.agent.update_budget = 96;  // a full hot-set rotation fits in one poll
+        spec.queries.key_space = 512;
+        spec.queries.zipf_skew = 1.0;
+        spec.queries.queries_per_client = opt.quick ? 200 : 600;
+        spec.queries.shift_period = shift;
+        spec.queries.shift_step = 64;  // > hot_set: each shift displaces the whole hot set
+        workload::RackIncastParams bg;
+        bg.sink = 0;
+        bg.senders = 4;
+        bg.packets_per_sender = opt.quick ? 8 : 32;
+        spec.background = bg;
+        const ChurnRun r = run_churn(c, spec);
+        ok = ok && r.ok();
+
+        const auto period_us = static_cast<unsigned long long>(period / sim::kMicrosecond);
+        const auto shift_us = static_cast<unsigned long long>(shift / sim::kMicrosecond);
+        std::printf("%-6s %8llu %8llu | %8.3f %6llu %6llu %9llu %8llu | %9.0f %9.0f %9.2f\n",
+                    arch, period_us, shift_us, r.hit_rate,
+                    static_cast<unsigned long long>(r.hits),
+                    static_cast<unsigned long long>(r.misses),
+                    static_cast<unsigned long long>(r.staleness_misses),
+                    static_cast<unsigned long long>(r.installs), r.hit_latency_ns,
+                    r.miss_latency_ns, r.bg_cct_us);
+        sim::Scope cell = report.scope(std::string(arch) + ".p" + std::to_string(period_us) +
+                                       ".s" + std::to_string(shift_us));
+        cell.gauge("hit_rate").set(r.hit_rate);
+        cell.gauge("sent").set(static_cast<double>(r.sent));
+        cell.gauge("hits").set(static_cast<double>(r.hits));
+        cell.gauge("misses").set(static_cast<double>(r.misses));
+        cell.gauge("outstanding").set(static_cast<double>(r.outstanding));
+        cell.gauge("staleness_misses").set(static_cast<double>(r.staleness_misses));
+        cell.gauge("installs").set(static_cast<double>(r.installs));
+        cell.gauge("hit_latency_ns").set(r.hit_latency_ns);
+        cell.gauge("miss_latency_ns").set(r.miss_latency_ns);
+        cell.gauge("bg_cct_us").set(r.bg_cct_us);
+        cell.gauge("agent_polls").set(static_cast<double>(r.agent_polls));
+        cell.gauge("agent_packets").set(static_cast<double>(r.agent_packets));
+        cell.gauge("events").set(static_cast<double>(r.events));
+      }
+    }
+  }
+  report.gauge("quick").set(opt.quick ? 1.0 : 0.0);
+  if (!ok) std::fprintf(stderr, "control_grid: lost replies or zero hit rate\n");
+  return {ok};
+}
+
+/// Cache entries the armed arm of the datapath sweep runs with.
+constexpr std::uint32_t kDatapathEntries = 4096;
+
+/// One arm of one datapath cell: a full fabric run with the flow cache
+/// armed (`entries` > 0) or off, on leaf_spine 2x2x8 or fat_tree k=4,
+/// driving steady repeated incast or the control-churn co-simulation.
+/// `traced` arms span sampling for the byte-equality verification arms
+/// (kept out of the timed arms so tracing cost never pollutes ns/op).
+struct DatapathRun {
+  double ns = 0;
+  std::uint64_t ops = 0;  ///< events executed
+  fastpath::FlowCacheStats fp;
+  std::uint64_t snap_hash = 0;
+  std::uint64_t trace_hash = 0;
+  bool ok = true;
+};
+
+DatapathRun run_datapath_cell(bool fat, bool churn_wl, std::uint32_t entries, bool traced,
+                              bool quick, std::uint64_t seed) {
+  Cell c(edit(fat ? fat_tree(4) : leaf_spine(2, 2, 8),
+              [&](auto& p) {
+                p.ecmp_seed = seed;
+                p.profile.fastpath_entries = entries;
+                p.control_channel = churn_wl;
+                if (traced) p.trace.sample_every = 2;
+              }),
+         0);
+  DatapathRun r;
+  if (churn_wl) {
+    const ChurnRun cr = run_churn(c, churn_spec(quick ? 100 : 400, seed));
+    r.ns = cr.ns;
+    r.ops = cr.events;
+    r.ok = cr.ok();
+  } else {
+    // Every round rotates the sink and renames the flows, so a flow's first
+    // packet per switch site always misses: packets_per_sender bounds the
+    // achievable hit rate, and the full-size run uses a deep window so the
+    // numbers reflect steady state rather than cold-start fills.
+    const auto t0 = Clock::now();
+    for (std::uint32_t round = 0; round < (quick ? 2u : 10u); ++round) {
+      r.ops += incast_round(c, round, quick ? 4 : 48);
+    }
+    r.ns = now_ns(t0);
+    r.ok = c.conserved();
+  }
+  c.net().finalize_metrics();
+  r.fp = c.net().fastpath_totals();
+  r.snap_hash = bench::fnv1a(c.net().metrics().snapshot().to_json("pin"));
+  if (traced) r.trace_hash = bench::fnv1a(sim::spans_to_perfetto(c.net().span_buffers()));
+  return r;
+}
+
+/// `--scenario datapath_fastpath` (E24): cache on/off x {leaf_spine,
+/// fat_tree_4} x {steady incast, control churn}. Each cell reports
+/// baseline + fastpath ns/op, hit rate, invalidations, the speedup, and a
+/// self-verified `match` gauge: an extra traced off/on run pair per cell
+/// must produce byte-identical snapshots AND span traces (hashed), or the
+/// runner exits nonzero — the cache may only change how fast the answer
+/// arrives, never the answer.
+Outcome run_datapath(const Options& opt, sim::MetricRegistry& report) {
+  report.gauge("config.quick").set(opt.quick ? 1.0 : 0.0);
+  report.gauge("config.repeat").set(static_cast<double>(opt.repeat));
+  report.gauge("config.fastpath_entries").set(static_cast<double>(kDatapathEntries));
+  report.gauge("config.tier_profile_full").set(g_profile.eager_state ? 1.0 : 0.0);
+
+  bool all_ok = true;
+  for (const bool fat : {false, true}) {
+    const char* scale = fat ? "fat_tree_4" : "leaf_spine";
+    for (const bool churn_wl : {false, true}) {
+      const char* wl = churn_wl ? "churn" : "steady";
+      double base_ns = 0, fast_ns = 0;
+      std::uint64_t base_ops = 0, fast_ops = 0;
+      fastpath::FlowCacheStats fp;
+      bool ok = true;
+      for (unsigned r = 0; r < opt.repeat; ++r) {
+        const DatapathRun b =
+            run_datapath_cell(fat, churn_wl, 0, false, opt.quick, 0x5eed0000ull + r);
+        base_ns += b.ns;
+        base_ops += b.ops;
+        ok = ok && b.ok && b.fp.hits + b.fp.misses == 0;
+      }
+      for (unsigned r = 0; r < opt.repeat; ++r) {
+        const DatapathRun f = run_datapath_cell(fat, churn_wl, kDatapathEntries, false,
+                                                opt.quick, 0x5eed0000ull + r);
+        fast_ns += f.ns;
+        fast_ops += f.ops;
+        fp.hits += f.fp.hits;
+        fp.misses += f.fp.misses;
+        fp.invalidations += f.fp.invalidations;
+        fp.evictions += f.fp.evictions;
+        ok = ok && f.ok && f.fp.hits > 0;
+      }
+      // The equality gate: one traced run pair, same seed, off vs on.
+      const DatapathRun voff =
+          run_datapath_cell(fat, churn_wl, 0, true, opt.quick, 0x5eed0000ull);
+      const DatapathRun von =
+          run_datapath_cell(fat, churn_wl, kDatapathEntries, true, opt.quick, 0x5eed0000ull);
+      const bool match = voff.ops == von.ops && voff.snap_hash == von.snap_hash &&
+                         voff.trace_hash == von.trace_hash;
+      ok = ok && match;
+
+      const double base_ns_per_op =
+          base_ops > 0 ? base_ns / static_cast<double>(base_ops) : 0.0;
+      const double fast_ns_per_op =
+          fast_ops > 0 ? fast_ns / static_cast<double>(fast_ops) : 0.0;
+      const double speedup = fast_ns_per_op > 0 ? base_ns_per_op / fast_ns_per_op : 0.0;
+      const double hit_rate =
+          fp.hits + fp.misses > 0
+              ? static_cast<double>(fp.hits) / static_cast<double>(fp.hits + fp.misses)
+              : 0.0;
+      std::printf(
+          "datapath %-10s %-6s base %8.1f ns/ev fast %8.1f ns/ev speedup %5.2fx "
+          "hit %5.1f%% inval %llu%s%s\n",
+          scale, wl, base_ns_per_op, fast_ns_per_op, speedup, hit_rate * 100.0,
+          static_cast<unsigned long long>(fp.invalidations), match ? "" : "  MISMATCH",
+          ok ? "" : "  FAILED");
+
+      sim::Scope sc = report.scope(scale).scope(wl);
+      sc.gauge("baseline.ns_per_op").set(base_ns_per_op);
+      sim::Scope fs = sc.scope("fastpath");
+      fs.gauge("ns_per_op").set(fast_ns_per_op);
+      fs.gauge("hit_rate").set(hit_rate);
+      fs.gauge("invalidations").set(static_cast<double>(fp.invalidations));
+      fs.gauge("evictions").set(static_cast<double>(fp.evictions));
+      sc.gauge("speedup").set(speedup);
+      sc.gauge("match").set(match ? 1.0 : 0.0);
+      sc.gauge("ok").set(ok ? 1.0 : 0.0);
+      all_ok = all_ok && ok;
+    }
+  }
+  if (!all_ok) std::fprintf(stderr, "datapath_fastpath reported a failed cell\n");
+  return {all_ok};
+}
+
+using ModeFn = Outcome (*)(const Options&, sim::MetricRegistry&);
+
+struct Mode {
+  const char* scenario;
+  const char* report;  ///< the BENCH_<report>.json label
+  ModeFn fn;
+};
+
+constexpr Mode kTimed{"", "kernel", run_scenarios};
+constexpr Mode kSweeps[] = {
+    {"rack_coflows", "leaf_spine", run_rack_coflows},
+    {"parallel_scaling", "parallel", run_parallel_scaling},
+    {"control_grid", "control", run_control_grid},
+    {"datapath_fastpath", "datapath", run_datapath},
+};
+
+/// Splits a comma list, dropping empty items.
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= csv.size()) {
+    const std::size_t comma = csv.find(',', start);
+    const std::string item =
+        csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!item.empty()) out.push_back(item);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--scenario NAME] [--threads N[,N...]] [--repeat N]\n"
+               "          [--scale S[,S...]] [--tier-profile full|slim] [--out FILE]\n"
+               "          [--trace-out FILE]\n",
+               argv0);
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      opt.quick = true;
+      continue;
+    }
+    if (i + 1 >= argc) return usage(argv[0]);
+    const char* v = argv[++i];
+    if (arg == "--scenario") {
+      opt.scenario = v;
+    } else if (arg == "--threads") {
+      opt.threads.clear();
+      for (const std::string& n : split_csv(v)) {
+        opt.threads.push_back(static_cast<unsigned>(std::max(1, std::atoi(n.c_str()))));
+      }
+      if (opt.threads.empty()) return usage(argv[0]);
+    } else if (arg == "--repeat") {
+      opt.repeat = static_cast<unsigned>(std::max(1, std::atoi(v)));
+    } else if (arg == "--scale") {
+      opt.scales = split_csv(v);
+    } else if (arg == "--out") {
+      opt.out = v;
+    } else if (arg == "--trace-out") {
+      opt.trace_out = v;
+    } else if (arg == "--tier-profile") {
+      const auto profile = topo::TierProfile::parse(v);
+      if (!profile) {
+        std::fprintf(stderr, "unknown --tier-profile '%s' (full | slim)\n", v);
+        return 2;
+      }
+      g_profile = *profile;
+    } else {
+      return usage(argv[0]);
+    }
+  }
+
+  if (!opt.scales.empty() && opt.scenario.empty()) opt.scenario = "parallel_scaling";
+  const Mode* mode = &kTimed;
+  for (const Mode& m : kSweeps) {
+    if (opt.scenario == m.scenario) mode = &m;
+  }
+  if (mode == &kTimed && !opt.scenario.empty() &&
+      std::none_of(std::begin(kScenarios), std::end(kScenarios),
+                   [&](const Scenario& sc) { return opt.scenario == sc.name; })) {
+    std::fprintf(stderr, "unknown scenario '%s'; known:", opt.scenario.c_str());
+    for (const Scenario& sc : kScenarios) std::fprintf(stderr, " %s", sc.name);
+    for (const Mode& m : kSweeps) std::fprintf(stderr, " %s", m.scenario);
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+  if (mode->fn == run_parallel_scaling) {
+    if (opt.scales.empty()) opt.scales = {"leaf_spine"};
+    for (const std::string& s : opt.scales) {
+      if (!scale_fabric(s)) {
+        std::fprintf(stderr,
+                     "unknown --scale '%s' (leaf_spine | leaf_spine_2k | fat_tree_4 | "
+                     "fat_tree_8)\n",
+                     s.c_str());
+        return 2;
+      }
+    }
+  } else if (!opt.scales.empty() || !opt.trace_out.empty() || opt.threads.size() > 1) {
+    std::fprintf(stderr, "--scale, --trace-out and a --threads list belong to the "
+                         "parallel sweep (--scale)\n");
+    return 2;
+  }
+
+  sim::MetricRegistry report;
+  report.gauge("config.hardware_threads")
+      .set(static_cast<double>(std::thread::hardware_concurrency()));
+  const Outcome o = mode->fn(opt, report);
+  sim::Snapshot snap = report.snapshot();
+  snap.merge(o.extra);
+  const bool wrote = opt.out.empty() || bench::write_report(snap, mode->report, opt.out);
+  return o.ok && wrote ? 0 : 1;
 }

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -459,7 +461,8 @@ TEST(ParallelEquivalence, FatTreeAllReduceThreads4MatchesThreads1AndMonolithic) 
 struct TraceRun {
   std::string perfetto;
   std::string csv;
-  sim::Snapshot pdes;  ///< the engine's private self-profile registry
+  sim::Snapshot pdes;          ///< the engine's private self-profile registry
+  std::string pdes_perfetto;  ///< its busy/wait spans, wall-clock microseconds
 };
 
 /// The pinned fat_tree(4) allreduce with head-sampling armed (1-in-2 by
@@ -470,6 +473,7 @@ TraceRun run_fat_tree_allreduce_traced(unsigned threads) {
   p.k = 4;
   p.trace.sample_every = 2;
   topo::Network net(psim, p);
+  psim.enable_profile_spans();
   auto hosts = rack_hosts(net);
   workload::RackAllReduceParams ap;
   ap.ps = 0;
@@ -484,6 +488,7 @@ TraceRun run_fat_tree_allreduce_traced(unsigned threads) {
   t.perfetto = sim::spans_to_perfetto(net.span_buffers());
   t.csv = sim::spans_to_csv(net.span_buffers());
   t.pdes = psim.metrics().snapshot();
+  t.pdes_perfetto = sim::spans_to_perfetto(psim.profile_span_buffers(), 1e-3);
   return t;
 }
 
@@ -524,6 +529,54 @@ TEST(ParallelEquivalence, FatTreeTraceOutputIdenticalAcrossThreads) {
                   t->pdes.value("pdes.shard0.horizon_wait_ns"),
               0.0);
   }
+}
+
+/// Checks the trace-event structure Perfetto relies on and returns the
+/// number of events: each has "ph" and "pid", each non-metadata event a
+/// "ts", and "X" slices start at non-decreasing times on every (pid, tid)
+/// track. spans_to_perfetto writes one event per line.
+std::size_t expect_perfetto_structure(const std::string& json) {
+  const auto field = [](const std::string& ev, const std::string& key) {
+    const std::size_t at = ev.find("\"" + key + "\":");
+    if (at == std::string::npos) return std::optional<std::string>{};
+    const std::size_t begin = at + key.size() + 3;
+    return std::optional<std::string>{ev.substr(begin, ev.find_first_of(",}", begin) - begin)};
+  };
+  std::map<std::pair<std::string, std::string>, double> last_ts;
+  std::size_t events = 0;
+  std::istringstream in(json);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t open = line.find("{\"name\":");
+    if (open == std::string::npos) continue;
+    const std::string ev = line.substr(open);
+    ++events;
+    const auto ph = field(ev, "ph");
+    const auto pid = field(ev, "pid");
+    if (!ph || !pid) {
+      ADD_FAILURE() << "no ph or pid: " << ev;
+      continue;
+    }
+    if (*ph == "\"M\"") continue;
+    const auto ts = field(ev, "ts");
+    const auto tid = field(ev, "tid");
+    if (!ts || (*ph == "\"X\"" && !tid)) {
+      ADD_FAILURE() << "no ts, or an X slice without tid: " << ev;
+      continue;
+    }
+    if (*ph != "\"X\"") continue;
+    double& last = last_ts[{*pid, *tid}];
+    const double t = std::stod(*ts);
+    EXPECT_GE(t, last) << ev;
+    last = t;
+  }
+  return events;
+}
+
+TEST(PerfettoExport, SpanAndProfileTracesHaveTraceEventStructure) {
+  const TraceRun t = run_fat_tree_allreduce_traced(2);
+  EXPECT_GT(expect_perfetto_structure(t.perfetto), 1u);       // simulated packet spans
+  EXPECT_GT(expect_perfetto_structure(t.pdes_perfetto), 1u);  // PDES wall-clock profile
 }
 
 TEST(ParallelSim, ProfileSpansRecordWorkBurstsPerShard) {
