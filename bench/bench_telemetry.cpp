@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
         // reference is the 1-worker sharded run, not the sequential one —
         // INT records carry per-packet state (queue depth, hop latency),
         // and sequential-vs-sharded same-tick ties may legally interleave
-        // differently (the per-packet-span caveat from bench_leaf_spine);
+        // differently (the per-packet-span caveat at run_parallel_scaling in runner.cpp);
         // across worker counts the tie order is pinned. The fat tree
         // checks a narrower ladder to bound full-mode wall time.
         const auto [now1, hash1] = t.fat_tree ? run_parallel_pin(ft, mode, w, 1)

@@ -16,8 +16,7 @@
 //       except that parallel_fabric runs its sharded engine with --threads
 //       workers. Reports ns/op and ops/sec per scenario.
 //   --scenario rack_coflows      [leaf_spine] E18: RMT vs ADCP tiers.
-//   --scale S1,S2,...            [parallel] E19-E22: monolithic vs sharded
-//       (also --scenario parallel_scaling, which defaults to leaf_spine).
+//   --scale S1,S2,...            [parallel] E19-E22: monolithic vs sharded.
 //   --scenario control_grid      [control] E23: arch x poll x shift grid.
 //   --scenario datapath_fastpath [datapath] E24: flow cache off vs on.
 // Each sweep's function below documents its cells and its gates.
@@ -1150,9 +1149,9 @@ struct Mode {
 };
 
 constexpr Mode kTimed{"", "kernel", run_scenarios};
+constexpr Mode kParallel{"", "parallel", run_parallel_scaling};  // selected by --scale
 constexpr Mode kSweeps[] = {
     {"rack_coflows", "leaf_spine", run_rack_coflows},
-    {"parallel_scaling", "parallel", run_parallel_scaling},
     {"control_grid", "control", run_control_grid},
     {"datapath_fastpath", "datapath", run_datapath},
 };
@@ -1221,10 +1220,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.scales.empty() && opt.scenario.empty()) opt.scenario = "parallel_scaling";
   const Mode* mode = &kTimed;
   for (const Mode& m : kSweeps) {
     if (opt.scenario == m.scenario) mode = &m;
+  }
+  if (!opt.scales.empty()) {
+    if (!opt.scenario.empty()) {
+      std::fprintf(stderr, "--scale runs the parallel sweep; it takes no --scenario\n");
+      return 2;
+    }
+    mode = &kParallel;
   }
   if (mode == &kTimed && !opt.scenario.empty() &&
       std::none_of(std::begin(kScenarios), std::end(kScenarios),
@@ -1235,8 +1240,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  if (mode->fn == run_parallel_scaling) {
-    if (opt.scales.empty()) opt.scales = {"leaf_spine"};
+  if (mode == &kParallel) {
     for (const std::string& s : opt.scales) {
       if (!scale_fabric(s)) {
         std::fprintf(stderr,

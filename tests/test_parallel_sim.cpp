@@ -466,14 +466,15 @@ struct TraceRun {
 };
 
 /// The pinned fat_tree(4) allreduce with head-sampling armed (1-in-2 by
-/// flow hash, so both the sampled and the unsampled branch execute).
-TraceRun run_fat_tree_allreduce_traced(unsigned threads) {
+/// flow hash, so both the sampled and the unsampled branch execute);
+/// `profile` also arms the engine's wall-clock profile spans.
+TraceRun run_fat_tree_allreduce_traced(unsigned threads, bool profile = false) {
   sim::ParallelSimulator psim(threads);
   topo::FatTreeParams p;
   p.k = 4;
   p.trace.sample_every = 2;
   topo::Network net(psim, p);
-  psim.enable_profile_spans();
+  if (profile) psim.enable_profile_spans();
   auto hosts = rack_hosts(net);
   workload::RackAllReduceParams ap;
   ap.ps = 0;
@@ -574,7 +575,7 @@ std::size_t expect_perfetto_structure(const std::string& json) {
 }
 
 TEST(PerfettoExport, SpanAndProfileTracesHaveTraceEventStructure) {
-  const TraceRun t = run_fat_tree_allreduce_traced(2);
+  const TraceRun t = run_fat_tree_allreduce_traced(2, /*profile=*/true);
   EXPECT_GT(expect_perfetto_structure(t.perfetto), 1u);       // simulated packet spans
   EXPECT_GT(expect_perfetto_structure(t.pdes_perfetto), 1u);  // PDES wall-clock profile
 }
