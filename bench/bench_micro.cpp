@@ -61,6 +61,26 @@ void BM_Deparser(benchmark::State& state) {
 }
 BENCHMARK(BM_Deparser);
 
+/// The switch's write-back for a routing hop: only the TTL was written, so
+/// Deparser::rewrite copies the packet into a pooled one and patches a
+/// byte. Each output is the next input (same bytes: the TTL value is fixed).
+void BM_DeparserPatch(benchmark::State& state) {
+  const packet::ParseGraph g = packet::standard_parse_graph(64);
+  const packet::Parser parser(&g);
+  const packet::Deparser dep = packet::standard_deparser();
+  packet::Packet pkt = sample_packet(16);
+  packet::ParseResult r = parser.parse(pkt);
+  r.phv.set(packet::fields::kIpTtl, r.phv.get(packet::fields::kIpTtl) - 1);
+  packet::Pool pool;
+  for (auto _ : state) {
+    pkt = dep.rewrite(r.phv, std::move(pkt), r.consumed, pool);
+    benchmark::DoNotOptimize(pkt.size());
+  }
+  if (!dep.can_patch(r.phv, pkt, r.consumed)) state.SkipWithError("fell back to deparse");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeparserPatch);
+
 void BM_ExactTableLookup(benchmark::State& state) {
   mat::ExactTable table(65536);
   for (std::uint64_t k = 0; k < 65536; ++k) table.insert(k, mat::actions::nop());

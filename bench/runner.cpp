@@ -764,8 +764,9 @@ double mem_available_bytes() {
 /// (full / slim). The slim arm runs first — it leaves almost nothing
 /// resident, keeping the full arm's RSS delta honest — and its
 /// bytes_reserved (identical to what full will touch) RAM-gates the full
-/// arm: an eager ADCP fat_tree(8) wants ~19 GB.
-void probe_construction(sim::Scope scope, const Fabric& fabric) {
+/// arm: an eager ADCP fat_tree(8) wants ~19 GB. `quick` skips the full arm
+/// (skipped = 1): even the smoke leaf_spine touches 2.3 GB eagerly.
+void probe_construction(sim::Scope scope, const Fabric& fabric, bool quick) {
   struct Arm {
     const char* name;
     topo::TierProfile profile;
@@ -777,6 +778,11 @@ void probe_construction(sim::Scope scope, const Fabric& fabric) {
   double reserved_estimate = 0.0;
   for (const Arm& arm : arms) {
     sim::Scope as = scope.scope(arm.name);
+    if (arm.profile.eager_state && quick) {
+      std::printf("  construction.full: skipped (--quick)\n");
+      as.gauge("skipped").set(1.0);
+      continue;
+    }
     if (arm.profile.eager_state && reserved_estimate > 0.0) {
       const double avail = mem_available_bytes();
       if (avail > 0.0 && reserved_estimate * 1.25 + 1e9 > avail) {
@@ -844,7 +850,7 @@ Outcome run_parallel_scaling(const Options& opt, sim::MetricRegistry& report) {
     const Fabric fabric = *scale_fabric(scale);
     std::printf("construction sweep: %s (%s profile for the runs below)\n", scale.c_str(),
                 g_profile.name());
-    probe_construction(report.scope(scale).scope("construction"), fabric);
+    probe_construction(report.scope(scale).scope("construction"), fabric, opt.quick);
     const ScaleRun mono = run_scale(fabric, 0, opt.quick, trace);
     std::vector<double> busy;
     const ScaleRun par1 = run_scale(fabric, 1, opt.quick, trace, nullptr, &busy);
@@ -1080,16 +1086,15 @@ Outcome run_datapath(const Options& opt, sim::MetricRegistry& report) {
       std::uint64_t base_ops = 0, fast_ops = 0;
       fastpath::FlowCacheStats fp;
       bool ok = true;
-      for (unsigned r = 0; r < opt.repeat; ++r) {
-        const DatapathRun b =
-            run_datapath_cell(fat, churn_wl, 0, false, opt.quick, 0x5eed0000ull + r);
+      const auto base_arm = [&](std::uint64_t seed) {
+        const DatapathRun b = run_datapath_cell(fat, churn_wl, 0, false, opt.quick, seed);
         base_ns += b.ns;
         base_ops += b.ops;
         ok = ok && b.ok && b.fp.hits + b.fp.misses == 0;
-      }
-      for (unsigned r = 0; r < opt.repeat; ++r) {
-        const DatapathRun f = run_datapath_cell(fat, churn_wl, kDatapathEntries, false,
-                                                opt.quick, 0x5eed0000ull + r);
+      };
+      const auto fast_arm = [&](std::uint64_t seed) {
+        const DatapathRun f =
+            run_datapath_cell(fat, churn_wl, kDatapathEntries, false, opt.quick, seed);
         fast_ns += f.ns;
         fast_ops += f.ops;
         fp.hits += f.fp.hits;
@@ -1097,6 +1102,18 @@ Outcome run_datapath(const Options& opt, sim::MetricRegistry& report) {
         fp.invalidations += f.fp.invalidations;
         fp.evictions += f.fp.evictions;
         ok = ok && f.ok && f.fp.hits > 0;
+      };
+      // Interleaved, and in alternating order, so neither arm always runs
+      // cold.
+      for (unsigned r = 0; r < opt.repeat; ++r) {
+        const std::uint64_t seed = 0x5eed0000ull + r;
+        if (r % 2 == 0) {
+          base_arm(seed);
+          fast_arm(seed);
+        } else {
+          fast_arm(seed);
+          base_arm(seed);
+        }
       }
       // The equality gate: one traced run pair, same seed, off vs on.
       const DatapathRun voff =

@@ -122,26 +122,23 @@ std::uint64_t FlowCache::signature(const WireView& w,
   return mix(x);
 }
 
-packet::Packet copy_patch(packet::Pool& pool, packet::Packet original,
-                          const WireView& w, Patch patch) {
-  packet::Packet out = pool.acquire();
-  out.data = original.data;
-  out.meta = original.meta;
-  out.meta.flow_id = w.flow_id;
-  out.meta.coflow_id = w.coflow_id;
-  out.meta.drop = false;
-  if (patch != Patch::kPassthrough) {
-    out.data.write(22, 1, static_cast<std::uint64_t>(w.ttl) - 1);
+packet::Packet copy_patch(const packet::Deparser& deparser, packet::Pool& pool,
+                          packet::Packet original, const WireView& w, Patch patch) {
+  namespace f = packet::fields;
+  return pool.copy_patch(std::move(original), [&](packet::Packet& out) {
+    out.meta.flow_id = w.flow_id;
+    out.meta.coflow_id = w.coflow_id;
+    out.meta.drop = false;
+    if (patch == Patch::kPassthrough) return;
+    deparser.poke(out.data, f::kIpTtl, static_cast<std::uint64_t>(w.ttl) - 1);
     if (patch == Patch::kServed) {
-      out.data.write(
-          42, 1, static_cast<std::uint64_t>(packet::IncOpcode::kChurnHit));
-      out.data.write(26, 4, w.ip_dst);
-      out.data.write(30, 4, w.ip_src);
+      deparser.poke(out.data, f::kIncOpcode,
+                    static_cast<std::uint64_t>(packet::IncOpcode::kChurnHit));
+      deparser.poke(out.data, f::kIpSrc, w.ip_dst);
+      deparser.poke(out.data, f::kIpDst, w.ip_src);
       out.meta.flow_hash = 0;  // tuple swapped: the cached hash is stale
     }
-  }
-  pool.release(std::move(original));
-  return out;
+  });
 }
 
 }  // namespace adcp::fastpath

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "mat/versioned.hpp"
+#include "packet/deparser.hpp"
 #include "packet/headers.hpp"
 #include "packet/packet.hpp"
 #include "packet/pool.hpp"
@@ -121,13 +122,6 @@ struct FastpathContract {
   [[nodiscard]] bool valid() const { return static_cast<bool>(route); }
 };
 
-/// A memoized passthrough pipeline (no per-flow state): one timing
-/// template serves every guard-passing packet.
-struct StaticSite {
-  bool valid = false;
-  Timing timing;
-};
-
 struct FlowCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -185,12 +179,10 @@ class FlowCache {
   FlowCacheStats stats_;
 };
 
-/// The copy-and-patch: acquires a pooled packet, copies `original`'s bytes
-/// and metadata, applies `patch`, and releases `original` — mirroring the
-/// pool traffic of the slow path's finalize/deparse exactly (snapshot
-/// equality depends on it). kServed also clears the cached ECMP flow hash:
-/// the 5-tuple changed, so downstream hops must recompute.
-packet::Packet copy_patch(packet::Pool& pool, packet::Packet original,
-                          const WireView& w, Patch patch);
+/// The copy-and-patch: Pool::copy_patch writing `patch` at `deparser`'s
+/// patch-plan sites. kServed also clears the cached ECMP flow hash: the
+/// 5-tuple changed, so downstream hops must recompute.
+packet::Packet copy_patch(const packet::Deparser& deparser, packet::Pool& pool,
+                          packet::Packet original, const WireView& w, Patch patch);
 
 }  // namespace adcp::fastpath

@@ -21,7 +21,7 @@ struct ShellConfig {
   double port_gbps = 100.0;
   /// Flow fast-path verdict cache entries (0 disables; rounded up to a
   /// power of two). Armed only when the installed program also provides a
-  /// fastpath contract (DESIGN.md §13).
+  /// fastpath contract (DESIGN.md §13); edge passthrough does not need it.
   std::uint32_t fastpath_entries = 0;
 };
 

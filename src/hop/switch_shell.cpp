@@ -10,14 +10,6 @@
 
 namespace adcp::hop {
 
-namespace {
-/// Only INC packets are rewritten from the PHV; anything else is forwarded
-/// byte-identical (the deparser emit program is INC-shaped).
-bool is_inc(const packet::Phv& phv) {
-  return phv.get_or(packet::fields::kUdpDst, 0) == packet::kIncUdpPort;
-}
-}  // namespace
-
 SwitchShell::SwitchShell(sim::Simulator& sim, const ShellConfig& config,
                          const sim::Scope& scope, std::string_view fallback)
     : sim_(&sim),
@@ -116,14 +108,13 @@ bool SwitchShell::program_drop(Slot* slot) {
 }
 
 packet::Packet SwitchShell::finalize(Slot* slot) {
-  packet::Packet out;
-  if (!is_inc(slot->pr.phv)) {
-    out = std::move(slot->pkt);
-  } else {
-    out = pool_.acquire();
-    deparser_->deparse_into(slot->pr.phv, slot->pkt, slot->pr.consumed, out);
-    pool_.release(std::move(slot->pkt));
-  }
+  // Only INC packets are written back; anything else is forwarded
+  // byte-identical (the deparser's emit program is INC-shaped).
+  const packet::Phv& phv = slot->pr.phv;
+  packet::Packet out =
+      phv.get_or(packet::fields::kUdpDst, 0) == packet::kIncUdpPort
+          ? deparser_->rewrite(phv, std::move(slot->pkt), slot->pr.consumed, pool_)
+          : std::move(slot->pkt);
   release(slot);
   return out;
 }
@@ -216,11 +207,11 @@ Slot* SwitchShell::fast_probe(packet::Packet& pkt) {
 
 Slot* SwitchShell::fast_passthrough(Edge edge, packet::Packet& pkt, pipeline::Pipeline& pipe,
                                     pipeline::Transit& tr) {
-  const fastpath::StaticSite& site = edge_sites_[static_cast<std::size_t>(edge)];
-  if (!fast_ || !site.valid || pkt.meta.recirc_request) return nullptr;
+  const std::optional<fastpath::Timing>& site = edge_sites_[static_cast<std::size_t>(edge)];
+  if (!site || pkt.meta.recirc_request) return nullptr;
   fastpath::WireView w;
   if (!fastpath::inspect(pkt, contract_.parse_max_elems, w)) return nullptr;
-  tr = replay(pipe, site.timing);
+  tr = replay(pipe, *site);
   Slot* slot = acquire();
   slot->wire = w;
   slot->pkt = std::move(pkt);
@@ -228,8 +219,8 @@ Slot* SwitchShell::fast_passthrough(Edge edge, packet::Packet& pkt, pipeline::Pi
 }
 
 void SwitchShell::learn_passthrough(Edge edge, const pipeline::Transit& tr) {
-  fastpath::StaticSite& site = edge_sites_[static_cast<std::size_t>(edge)];
-  if (fast_ && contract_.passthrough_edges && !site.valid) site = {true, timing_of(tr)};
+  std::optional<fastpath::Timing>& site = edge_sites_[static_cast<std::size_t>(edge)];
+  if (contract_.passthrough_edges && !site) site = timing_of(tr);
 }
 
 void SwitchShell::memoize(const Slot& slot) {
@@ -259,7 +250,7 @@ void SwitchShell::memoize(const Slot& slot) {
 
 packet::Packet SwitchShell::take_patched(Slot* slot) {
   packet::Packet out =
-      fastpath::copy_patch(pool_, std::move(slot->pkt), slot->wire, slot->patch);
+      fastpath::copy_patch(*deparser_, pool_, std::move(slot->pkt), slot->wire, slot->patch);
   if (slot->egress != packet::kInvalidPort) out.meta.egress_port = slot->egress;
   release(slot);
   return out;

@@ -162,9 +162,8 @@ class SwitchShell : public net::SwitchDevice {
   Slot* parse(packet::Packet& pkt);
   /// True (slot released) when the pass's program set kMetaDrop.
   bool program_drop(Slot* slot);
-  /// Deparse-or-passthrough: INC packets are rebuilt from the PHV into a
-  /// pooled packet and the original is retired; others pass through.
-  /// Releases the slot.
+  /// Write-back-or-passthrough: INC packets go through Deparser::rewrite
+  /// (the original is retired); others pass through. Releases the slot.
   packet::Packet finalize(Slot* slot);
   /// The slow-path verdict's destinations: the multicast group's ports, or
   /// the one unicast port. An unknown or empty group, or an out-of-range
@@ -193,7 +192,8 @@ class SwitchShell : public net::SwitchDevice {
   Slot* fast_probe(packet::Packet& pkt);
   /// Static edge passthrough: once `edge` has a measured timing template, a
   /// guard-passing packet replays it through `pipe` (into `tr`) and is
-  /// parked in a slot; nullptr leaves `pkt` to the slow path.
+  /// parked in a slot; nullptr leaves `pkt` to the slow path. Armed by the
+  /// contract, with or without the flow cache.
   Slot* fast_passthrough(Edge edge, packet::Packet& pkt, pipeline::Pipeline& pipe,
                          pipeline::Transit& tr);
   /// Edge pipelines carry no per-flow program under the passthrough
@@ -241,7 +241,7 @@ class SwitchShell : public net::SwitchDevice {
   std::shared_ptr<const packet::Deparser> deparser_;
   fastpath::FastpathContract contract_;
   std::optional<fastpath::FlowCache> fast_;  ///< armed by install
-  std::array<fastpath::StaticSite, 2> edge_sites_;  ///< indexed by Edge
+  std::array<std::optional<fastpath::Timing>, 2> edge_sites_;  ///< by Edge, once measured
   std::vector<std::unique_ptr<Slot>> slots_;  ///< owns every slot
   std::vector<Slot*> free_;                   ///< warm free list
   net::TxHandler tx_handler_;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "packet/packet.hpp"
-#include "packet/phv.hpp"
 
 namespace adcp::packet {
 
@@ -121,10 +120,5 @@ void make_inc_packet_into(const IncPacketSpec& spec, Packet& pkt);
 /// Decodes the INC header from a full packet; returns false when the packet
 /// is not INC (wrong ethertype/proto/port) or is truncated.
 bool decode_inc(const Packet& pkt, IncHeader& out);
-
-/// Re-serializes PHV fields back into `pkt` (the inverse of the standard
-/// parse): scalar INC fields and the key/value arrays are written into the
-/// INC header region, growing or shrinking the element area as needed.
-void deposit_inc_from_phv(const Phv& phv, Packet& pkt);
 
 }  // namespace adcp::packet

@@ -14,8 +14,8 @@ void Parser::parse_into(const Packet& pkt, ParseResult& res) const {
 
   while (id != kAcceptState && id != kDropState) {
     // Loop guard: a well-formed graph never revisits more states than it has.
-    if (res.path.size() > graph_->size()) return;
-    res.path.push_back(id);
+    if (res.states > graph_->size()) return;
+    ++res.states;
     const ParseState& st = graph_->state(id);
     if (cursor + st.header_len > b.size()) return;  // truncated
 
@@ -62,6 +62,7 @@ void Parser::parse_into(const Packet& pkt, ParseResult& res) const {
     res.phv.set(fields::kMetaDrop, 0);
     res.phv.set(fields::kMetaFlowHash, pkt.meta.flow_hash);
   }
+  res.phv.mark_clean();
 }
 
 ParseGraph standard_parse_graph(std::size_t max_elems) {

@@ -94,16 +94,15 @@ struct ParseResult {
   Phv phv;
   /// Bytes consumed by headers (payload begins here).
   std::size_t consumed = 0;
-  /// States visited, in order — the parser cost model charges one parser
-  /// cycle per state.
-  std::vector<StateId> path;
+  /// States visited (also the loop guard against a cyclic graph).
+  std::size_t states = 0;
 
-  /// Back to a just-constructed state, keeping the path's and the PHV
-  /// arrays' heap capacity — reuse one result per hot loop.
+  /// Back to a just-constructed state, keeping the PHV arrays' heap
+  /// capacity — reuse one result per hot loop.
   void reset() {
     accepted = false;
     consumed = 0;
-    path.clear();
+    states = 0;
     phv.reset();
   }
 };

@@ -18,14 +18,25 @@
 
 namespace adcp::packet {
 
-/// The register file flowing through a pipeline. Value-semantic.
+static_assert(kMaxScalarFields == 64, "the PHV write mask is one 64-bit word");
+
+/// The register file flowing through a pipeline. Value-semantic. It also
+/// records its writes since mark_clean() for Deparser::rewrite; equality
+/// ignores that record.
 class Phv {
  public:
+  /// Scalars set or cleared (bit i = field i); any mutable array() access.
+  struct Writes {
+    std::uint64_t scalars = 0;
+    bool arrays = false;
+  };
+
   /// Sets scalar field `id`.
   void set(FieldId id, std::uint64_t value) {
     assert(id < kMaxScalarFields);
     scalars_[id] = value;
     valid_[id] = true;
+    writes_.scalars |= std::uint64_t{1} << id;
   }
 
   /// Reads scalar field `id`; the field must be valid.
@@ -49,11 +60,14 @@ class Phv {
   void clear(FieldId id) {
     assert(id < kMaxScalarFields);
     valid_[id] = false;
+    writes_.scalars |= std::uint64_t{1} << id;
   }
 
-  /// Mutable access to array field `id` (created empty on first touch).
+  /// Mutable access to array field `id` (created empty on first touch);
+  /// recorded as an array write.
   std::vector<std::uint64_t>& array(ArrayFieldId id) {
     assert(id < kMaxArrayFields);
+    writes_.arrays = true;
     return arrays_[id];
   }
 
@@ -63,8 +77,12 @@ class Phv {
     return arrays_[id];
   }
 
-  /// Count of valid scalar fields.
-  [[nodiscard]] std::size_t valid_count() const { return valid_.count(); }
+  /// Valid scalars as a mask (bit i = field i).
+  [[nodiscard]] std::uint64_t valid_mask() const { return valid_.to_ullong(); }
+
+  [[nodiscard]] const Writes& writes() const { return writes_; }
+  /// Forgets the write record; the parser calls it when it finishes.
+  void mark_clean() { writes_ = {}; }
 
   /// Invalidates every scalar and empties every array while keeping the
   /// arrays' heap capacity — lets a hot loop reuse one PHV per packet
@@ -73,14 +91,18 @@ class Phv {
   void reset() {
     valid_.reset();
     for (auto& a : arrays_) a.clear();
+    mark_clean();
   }
 
-  bool operator==(const Phv&) const = default;
+  bool operator==(const Phv& o) const {
+    return scalars_ == o.scalars_ && valid_ == o.valid_ && arrays_ == o.arrays_;
+  }
 
  private:
   std::array<std::uint64_t, kMaxScalarFields> scalars_{};
   std::bitset<kMaxScalarFields> valid_;
   std::array<std::vector<std::uint64_t>, kMaxArrayFields> arrays_;
+  Writes writes_;
 };
 
 }  // namespace adcp::packet

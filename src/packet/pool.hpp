@@ -67,6 +67,17 @@ class Pool {
     if (free_.size() < max_idle_) free_.push_back(std::move(pkt));
   }
 
+  /// A pooled copy of `original` changed by `write(copy)`; releases `original`.
+  template <typename Write>
+  Packet copy_patch(Packet original, Write&& write) {
+    Packet out = acquire();
+    out.data = original.data;
+    out.meta = original.meta;
+    write(out);
+    release(std::move(original));
+    return out;
+  }
+
   [[nodiscard]] std::size_t idle() const { return free_.size(); }
   [[nodiscard]] Stats stats() const {
     return Stats{fresh_.value(), recycled_.value(), released_.value()};

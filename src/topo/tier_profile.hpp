@@ -54,9 +54,9 @@ struct TierProfile {
   /// copying them per switch.
   bool share_templates = true;
   /// Per-switch flow fast-path verdict cache entries (DESIGN.md §13).
-  /// 0 disables; a positive value arms the cache on every switch whose
-  /// installed program provides a fastpath contract. Applied to all three
-  /// model configs by the rmt()/adcp()/rtc() resolutions.
+  /// 0 disables the cache (not edge passthrough); a positive value arms it on
+  /// every switch whose installed program provides a fastpath contract.
+  /// Applied to all three model configs by the rmt()/adcp()/rtc() resolutions.
   std::uint32_t fastpath_entries = 0;
   /// Fabric-wide in-band telemetry (DESIGN.md §14). Disarmed by default;
   /// arming adds a management port per switch, INT stamping taps, TM

@@ -222,8 +222,8 @@ TEST(CopyPatch, ForwardPatchesOnlyTtl) {
   fastpath::WireView w;
   ASSERT_TRUE(fastpath::inspect(original, 0, w));
 
-  packet::Packet out = fastpath::copy_patch(pool, std::move(original), w,
-                                            fastpath::Patch::kForward);
+  packet::Packet out = fastpath::copy_patch(packet::standard_deparser(), pool,
+                                            std::move(original), w, fastpath::Patch::kForward);
   EXPECT_EQ(out.data.read(22, 1), packet::kIncInitialTtl - 1u);
   EXPECT_EQ(out.meta.flow_id, 7u);
   EXPECT_EQ(out.meta.coflow_id, 3u);
@@ -246,8 +246,8 @@ TEST(CopyPatch, ServedSwapsAddressesAndStampsChurnHit) {
   fastpath::WireView w;
   ASSERT_TRUE(fastpath::inspect(original, 0, w));
 
-  packet::Packet out = fastpath::copy_patch(pool, std::move(original), w,
-                                            fastpath::Patch::kServed);
+  packet::Packet out = fastpath::copy_patch(packet::standard_deparser(), pool,
+                                            std::move(original), w, fastpath::Patch::kServed);
   EXPECT_EQ(out.data.read(22, 1), packet::kIncInitialTtl - 1u);
   EXPECT_EQ(out.data.read(42, 1),
             static_cast<std::uint64_t>(packet::IncOpcode::kChurnHit));

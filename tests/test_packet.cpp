@@ -61,7 +61,7 @@ TEST(Phv, ArraysIndependentOfScalars) {
   Phv phv;
   phv.array(af::kIncKeys) = {1, 2, 3};
   EXPECT_EQ(phv.array(af::kIncKeys).size(), 3u);
-  EXPECT_EQ(phv.valid_count(), 0u);
+  EXPECT_EQ(phv.valid_mask(), 0u);
 }
 
 TEST(Phv, EqualityIncludesArrays) {
@@ -147,7 +147,7 @@ TEST(Parser, ExtractsStandardFields) {
   EXPECT_EQ(r.phv.get(f::kIncFlowId), 7u);
   EXPECT_EQ(r.phv.get(f::kIncSeq), 123u);
   EXPECT_EQ(r.phv.get(f::kMetaIngressPort), 9u);
-  EXPECT_EQ(r.path.size(), 4u);  // eth, ip, udp, inc
+  EXPECT_EQ(r.states, 4u);  // eth, ip, udp, inc
 }
 
 TEST(Parser, ExtractsArrays) {
@@ -234,24 +234,6 @@ TEST(Deparser, DropMetaPropagates) {
   phv.set(f::kMetaDrop, 1);
   const Packet out = dep.deparse(phv, Packet{}, 0);
   EXPECT_TRUE(out.meta.drop);
-}
-
-TEST(DepositIncFromPhv, RewritesElementsAndLengths) {
-  Packet pkt = make_inc_packet(sample_spec(2));
-  Phv phv;
-  phv.set(f::kIncOpcode, static_cast<std::uint64_t>(IncOpcode::kAggResult));
-  phv.set(f::kIncCoflowId, 42);
-  phv.set(f::kIncFlowId, 7);
-  phv.set(f::kIncSeq, 123);
-  phv.set(f::kIncWorkerId, 3);
-  phv.array(af::kIncKeys) = {5, 6, 7};
-  phv.array(af::kIncValues) = {50, 60, 70};
-  deposit_inc_from_phv(phv, pkt);
-  IncHeader decoded;
-  ASSERT_TRUE(decode_inc(pkt, decoded));
-  ASSERT_EQ(decoded.elements.size(), 3u);
-  EXPECT_EQ(decoded.elements[2].key, 7u);
-  EXPECT_EQ(decoded.elements[2].value, 70u);
 }
 
 // Property sweep: parse -> deparse is the identity for any element count
