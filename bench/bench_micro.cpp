@@ -2,7 +2,8 @@
 //
 // These measure the *simulator's* own hot paths (host-machine ns/op), not
 // modeled switch time: parser, deparser, tables, stateful ALU, array
-// engine, TM, pipeline advance, and the event kernel.
+// engine, TM, pipeline advance, the event kernel and the cross-shard
+// mailbox.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -19,6 +20,7 @@
 #include "packet/parser.hpp"
 #include "packet/pool.hpp"
 #include "pipeline/pipeline.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tm/traffic_manager.hpp"
@@ -302,6 +304,39 @@ void BM_SimulatorHostEcho(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_SimulatorHostEcho)->Unit(benchmark::kMillisecond);
+
+// One cross-shard channel end to end: a producer shard pushes N
+// packet-sized captures per round into a 1 ps mailbox, a 1 ps back channel
+// paces the rounds, and the consumer shard drains, orders and runs them.
+// One worker, so this is the handoff's own cost (push, drain, pending heap,
+// injection), not contention. Items are messages.
+void BM_MailboxHandoff(benchmark::State& state) {
+  constexpr int kRounds = 64;
+  const auto per_round = static_cast<int>(state.range(0));
+  sim::ParallelSimulator psim(1);
+  sim::Simulator& producer = psim.add_shard();
+  psim.add_shard();
+  sim::Mailbox& box = psim.add_mailbox(0, 1, 1);
+  psim.add_mailbox(1, 0, 1);
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    const sim::Time base = psim.now() + 1;
+    for (int r = 0; r < kRounds; ++r) {
+      const sim::Time t = base + static_cast<sim::Time>(r);
+      producer.at(t, [&box, &delivered, t, per_round] {
+        for (int i = 0; i < per_round; ++i) {
+          box.push(t + 1, [&delivered, pkt = packet::Packet{}] {
+            delivered += 1 + pkt.size();
+          });
+        }
+      });
+    }
+    psim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(box.drained()));
+}
+BENCHMARK(BM_MailboxHandoff)->Arg(1)->Arg(64)->Arg(1024);
 
 /// Console output as usual, plus every run mirrored into a MetricRegistry
 /// ("<name>.ns_per_op" / "<name>.items_per_sec") so the micro numbers ship

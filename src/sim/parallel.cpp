@@ -1,7 +1,6 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -42,8 +41,7 @@ namespace adcp::sim {
 
 // ---------------------------------------------------------------- Mailbox --
 
-Mailbox::Mailbox(std::size_t src_shard, std::size_t dst_shard, Time latency,
-                 std::size_t capacity)
+Mailbox::Mailbox(std::size_t src_shard, std::size_t dst_shard, Time latency)
     : src_(src_shard), dst_(dst_shard), latency_(latency) {
   if (latency == 0) {
     std::fprintf(stderr,
@@ -52,54 +50,32 @@ Mailbox::Mailbox(std::size_t src_shard, std::size_t dst_shard, Time latency,
                  src_shard, dst_shard);
     std::abort();
   }
-  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 2));
-  ring_.resize(cap);
-  mask_ = cap - 1;
 }
 
 std::size_t Mailbox::drain(std::vector<Arrival>& out, std::uint32_t id,
                            std::uint64_t& next_seq) {
-  const std::size_t before = out.size();
-  std::size_t head = head_.load(std::memory_order_relaxed);
-  const std::size_t tail = tail_.load(std::memory_order_acquire);
-  for (; head != tail; ++head) {
-    Envelope& e = ring_[head & mask_];
-    out.emplace_back();
-    Arrival& a = out.back();
+  if (empty_hint()) return 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    inbox_.swap(batch_);
+  }
+  for (Envelope& e : batch_) {
+    Arrival& a = out.emplace_back();
     a.at = e.at;
     a.mailbox = id;
     a.seq = next_seq++;
     a.fn = std::move(e.fn);
   }
-  head_.store(head, std::memory_order_release);
-  // Once one envelope overflows, later pushes stay in the overflow until we
-  // clear it here, so draining ring-then-overflow preserves FIFO.
-  if (overflow_size_.load(std::memory_order_acquire) != 0) {
-    std::lock_guard<std::mutex> lk(overflow_mu_);
-    for (Envelope& e : overflow_) {
-      out.emplace_back();
-      Arrival& a = out.back();
-      a.at = e.at;
-      a.mailbox = id;
-      a.seq = next_seq++;
-      a.fn = std::move(e.fn);
-    }
-    overflow_.clear();
-    overflow_size_.store(0, std::memory_order_relaxed);
-  }
-  const std::size_t n = out.size() - before;
-  if (n != 0) drained_.fetch_add(n, std::memory_order_seq_cst);
+  const std::size_t n = batch_.size();
+  batch_.clear();
+  drained_.fetch_add(n, std::memory_order_seq_cst);
   return n;
 }
 
 Time Mailbox::earliest_pending() {
+  std::lock_guard<std::mutex> lk(mu_);
   Time t = Simulator::kNoEventTime;
-  const std::size_t tail = tail_.load(std::memory_order_acquire);
-  for (std::size_t head = head_.load(std::memory_order_relaxed); head != tail; ++head) {
-    t = std::min(t, ring_[head & mask_].at);
-  }
-  std::lock_guard<std::mutex> lk(overflow_mu_);
-  for (const Envelope& e : overflow_) t = std::min(t, e.at);
+  for (const Envelope& e : inbox_) t = std::min(t, e.at);
   return t;
 }
 

@@ -13,19 +13,20 @@
 //     min(next local event, earliest pending arrival, this round's horizon).
 //   * A shard's round-r horizon is min over in-channels of
 //     (producer guarantee at round r-1 + channel latency). The shard drains
-//     its in-mailboxes consumer-side in one batch, injects every arrival
-//     below the horizon in (time, mailbox, fifo) order, and runs
-//     Simulator::run_window(horizon). Guarantees are monotone, so horizons
-//     advance by at least the minimum cycle latency per round and jump
-//     across traffic lulls as soon as the neighbors' next-event bounds
-//     propagate (the iterated form of a distance-matrix lookahead).
+//     its in-mailboxes consumer-side — one locked swap per non-empty
+//     mailbox — injects every arrival below the horizon in (time,
+//     mailbox, fifo) order, and runs Simulator::run_window(horizon).
+//     Guarantees are monotone, so horizons advance by at least the minimum
+//     cycle latency per round and jump across traffic lulls as soon as the
+//     neighbors' next-event bounds propagate (the iterated form of a
+//     distance-matrix lookahead).
 //
-// Round pacing is the only cross-thread coupling: shard j enters round r
-// once every in-neighbor has published round r-1 (acquire) and every
-// out-neighbor has reached round r - kMaxSkew (bounding the guarantee
-// history ring). The minimum-round shard can always advance, so the
-// protocol is deadlock-free; quiescence is detected with a four-counter
-// scan over live sent/received totals plus per-shard idle flags.
+// Besides the mailboxes' inbox locks, round pacing is the only cross-thread
+// coupling: shard j enters round r once every in-neighbor has published
+// round r-1 (acquire) and every out-neighbor has reached round r - kMaxSkew
+// (bounding the guarantee history ring). The minimum-round shard can always
+// advance, so the protocol is deadlock-free; quiescence is detected with a
+// four-counter scan over live sent/received totals plus per-shard idle flags.
 //
 // Determinism contract: a shard's horizon sequence is a pure function of
 // the topology and the (deterministic) per-shard event timelines — never of
@@ -52,11 +53,11 @@ namespace adcp::sim {
 /// One cross-shard channel (one direction of one trunk or host link).
 /// Single producer — the source shard's owner — and single consumer — the
 /// destination shard's owner, which drains in batches at round starts. The
-/// fixed-capacity ring is lock-free (acquire/release on the tail); bursts
-/// beyond the ring spill to a mutex-guarded overflow vector. FIFO order is
-/// preserved across the ring/overflow boundary: once one envelope
-/// overflows, later pushes stay in the overflow until the consumer clears
-/// it, so a batch never interleaves the two out of push order.
+/// producer appends to a mutex-guarded inbox; the consumer swaps the whole
+/// inbox out under the lock and tags it outside, so FIFO holds by
+/// construction. Both vectors keep their capacity: memory follows the
+/// channel's peak burst, not a preallocated ring, and steady state
+/// allocates nothing.
 class Mailbox {
  public:
   struct Envelope {
@@ -64,30 +65,19 @@ class Mailbox {
     Simulator::Callback fn;
   };
 
-  Mailbox(std::size_t src_shard, std::size_t dst_shard, Time latency,
-          std::size_t capacity = 256);
+  Mailbox(std::size_t src_shard, std::size_t dst_shard, Time latency);
 
   /// Producer side: enqueue `fn` to run at absolute time `at` in the
   /// destination shard. `at` must be >= the producer's current time plus
   /// this mailbox's declared latency (the conservative guarantee).
   template <typename F>
   void push(Time at, F&& fn) {
+    std::lock_guard<std::mutex> lk(mu_);
+    Envelope& e = inbox_.emplace_back();
+    e.at = at;
+    e.fn = std::forward<F>(fn);
+    // Counted before the consumer can see it: sent >= received always.
     pushed_.fetch_add(1, std::memory_order_seq_cst);
-    if (overflow_size_.load(std::memory_order_relaxed) == 0) {
-      const std::size_t tail = tail_.load(std::memory_order_relaxed);
-      if (tail - head_.load(std::memory_order_acquire) < ring_.size()) {
-        Envelope& e = ring_[tail & mask_];
-        e.at = at;
-        e.fn = std::forward<F>(fn);
-        tail_.store(tail + 1, std::memory_order_release);
-        return;
-      }
-    }
-    std::lock_guard<std::mutex> lk(overflow_mu_);
-    overflow_.emplace_back();
-    overflow_.back().at = at;
-    overflow_.back().fn = std::forward<F>(fn);
-    overflow_size_.store(overflow_.size(), std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::size_t src_shard() const { return src_; }
@@ -113,41 +103,37 @@ class Mailbox {
  private:
   friend class ParallelSimulator;
 
-  /// Consumer side: moves every visible envelope into `out` tagged with
+  /// Consumer side: moves every queued envelope into `out` tagged with
   /// this mailbox's id and the running FIFO sequence. Returns the batch
   /// size. Only the destination shard's owner may call this.
   std::size_t drain(std::vector<Arrival>& out, std::uint32_t id, std::uint64_t& next_seq);
 
   /// Earliest `at` among currently queued envelopes (kNoEventTime when
-  /// empty). Single-threaded use only (run() start, before workers exist).
+  /// empty).
   [[nodiscard]] Time earliest_pending();
 
   /// Consumer-side cheap peek: true when a drain would find nothing. A
   /// false negative only delays the drain by one round (the quiescence
   /// counters keep termination sound regardless).
   [[nodiscard]] bool empty_hint() const {
-    return head_.load(std::memory_order_relaxed) ==
-               tail_.load(std::memory_order_acquire) &&
-           overflow_size_.load(std::memory_order_acquire) == 0;
+    return pushed_.load(std::memory_order_acquire) ==
+           drained_.load(std::memory_order_relaxed);
   }
 
   std::size_t src_;
   std::size_t dst_;
   Time latency_;
-  std::vector<Envelope> ring_;
-  std::size_t mask_;
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
+  std::mutex mu_;
+  std::vector<Envelope> inbox_;  ///< guarded by mu_
+  std::vector<Envelope> batch_;  ///< consumer-owned; empty between drains
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> drained_{0};
-  std::mutex overflow_mu_;
-  std::vector<Envelope> overflow_;
-  std::atomic<std::size_t> overflow_size_{0};
 };
 
 /// The sharded driver. Build shards and mailboxes first (single-threaded),
-/// then run(); construction never starts threads, and `threads == 1` runs
-/// the whole round loop on the calling thread with no pool at all.
+/// then run(); construction never starts threads or preallocates mailbox
+/// buffers, and `threads == 1` runs the whole round loop on the calling
+/// thread with no pool at all.
 class ParallelSimulator {
  public:
   /// `threads == 0` means hardware_concurrency; the effective pool size is

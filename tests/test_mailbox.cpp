@@ -1,22 +1,24 @@
-// Cross-shard Mailbox contract: FIFO through the ring/overflow boundary,
-// FIFO across separate drain batches (the cumulative seq), and the
-// zero-latency rejection (a conservative channel must declare lookahead).
+// Cross-shard Mailbox contract: FIFO within one large burst, FIFO while
+// producer and consumer run concurrently on two workers, FIFO across
+// separate drain batches (the cumulative seq), and the zero-latency
+// rejection (a conservative channel must declare lookahead).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/parallel.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace adcp {
 namespace {
 
 TEST(Mailbox, FullRingOverflowPreservesFifo) {
-  // 600 same-tick pushes from one producer event: fills the 256-slot ring,
-  // spills ~344 into the overflow vector, and the consumer must still see
-  // push order — ties at one timestamp are broken by the FIFO seq, so any
-  // ring/overflow interleave would reorder the values.
+  // 600 same-tick pushes from one producer event reach the consumer in one
+  // drain batch, and the consumer must still see push order — ties at one
+  // timestamp are broken by the FIFO seq alone, so any reordering inside
+  // the batch would reorder the values.
   sim::ParallelSimulator psim(1);
   sim::Simulator& producer = psim.add_shard();
   psim.add_shard();  // consumer
@@ -37,6 +39,55 @@ TEST(Mailbox, FullRingOverflowPreservesFifo) {
   ASSERT_EQ(order.size(), 600u);
   for (int i = 0; i < 600; ++i) {
     ASSERT_EQ(order[i], i) << "FIFO broke at position " << i;
+  }
+}
+
+TEST(Mailbox, ConcurrentDrainPreservesFifo) {
+  // Two workers: the producer pushes bursts while the consumer drains. A
+  // 1 ps channel with a 1 ps back channel keeps the two shards within a
+  // round of each other. A third, independent shard does a seeded amount of
+  // busy work each round; uniform LPT packing puts it on the consumer's
+  // worker (shards 0 and 2 on one worker, shard 1 on the other), so drains
+  // start at varying points inside the producer's bursts. Every arrival
+  // targets one timestamp, so only the FIFO seq orders them: a drain that
+  // took newer envelopes before older ones would show here.
+  constexpr int kTrials = 20;
+  constexpr int kBursts = 100;
+  sim::Rng rng(19);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    sim::ParallelSimulator psim(2);
+    sim::Simulator& busy = psim.add_shard();
+    sim::Simulator& producer = psim.add_shard();
+    psim.add_shard();  // consumer
+    sim::Mailbox& box = psim.add_mailbox(1, 2, 1);
+    psim.add_mailbox(2, 1, 1);  // never pushed; bounds the producer horizon
+    psim.add_mailbox(1, 0, 1);  // never pushed; paces the busy shard
+
+    std::vector<int> order;
+    int pushed = 0;
+    for (int b = 0; b < kBursts; ++b) {
+      const auto t = static_cast<sim::Time>(b);
+      const auto spin = rng.uniform(0, 10'000);
+      busy.at(t, [spin] {
+        volatile std::uint64_t sink = 0;
+        for (std::uint64_t k = 0; k < spin; ++k) sink = sink + k;
+      });
+      const int size = static_cast<int>(rng.uniform(300, 900));
+      producer.at(t, [&box, &order, first = pushed, size] {
+        for (int i = first; i < first + size; ++i) {
+          box.push(kBursts + 10, [&order, i] { order.push_back(i); });
+        }
+      });
+      pushed += size;
+    }
+    order.reserve(static_cast<std::size_t>(pushed));
+
+    psim.run();
+    ASSERT_EQ(box.drained(), static_cast<std::uint64_t>(pushed));
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(pushed));
+    for (int i = 0; i < pushed; ++i) {
+      ASSERT_EQ(order[i], i) << "FIFO broke at position " << i << " in trial " << trial;
+    }
   }
 }
 
